@@ -98,9 +98,16 @@ def cache_path(cache_dir, l: int, r: int) -> Path:
 
 
 def cache_put(cache_dir, mat: DecompositionMatrix) -> Path:
+    """Write one matrix atomically: a dot-prefixed temp file in the same
+    directory, then os.replace, so readers never see a torn file."""
     path = cache_path(cache_dir, mat.l, mat.degree)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_json(matrix_payload(mat)) + "\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(canonical_json(matrix_payload(mat)) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
@@ -129,7 +136,6 @@ def load_or_compute(
     cache_dir=None,
     force: bool = False,
     allow_large: bool = False,
-    warn=None,
     progress=None,
 ) -> DecompositionMatrix:
     """Cache-backed matrix access; rejected caches are recomputed.
@@ -137,16 +143,15 @@ def load_or_compute(
     An unusable cache directory degrades to in-memory computation with a
     warning on the diagnostic stream.
     """
-    warn = warn or _warn
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     if directory is not None and not force:
         try:
             cached = cache_get(directory, l, r)
         except CacheIntegrityError as exc:
-            warn(f"{exc}; recomputing")
+            _warn(f"{exc}; recomputing")
             cached = None
         except OSError as exc:
-            warn(f"cache directory unusable ({exc}); falling back to memory")
+            _warn(f"cache directory unusable ({exc}); falling back to memory")
             directory = None
             cached = None
         if cached is not None:
@@ -156,5 +161,5 @@ def load_or_compute(
         try:
             cache_put(directory, mat)
         except OSError as exc:
-            warn(f"cache directory unusable ({exc}); result kept in memory only")
+            _warn(f"cache directory unusable ({exc}); result kept in memory only")
     return mat

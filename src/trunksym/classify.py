@@ -89,16 +89,7 @@ def phi_contains(lam: Partition, m: int, l: int) -> bool:
     if not 0 < m < l:
         raise ValueError("parameter range: need 0 < m < l")
     lam = Partition(lam)
-    primary = len(lam) <= m and lam.part(1) - lam.part(m) <= l - m
-    # equivalent reading: lam = r^m + alpha with alpha_1 <= l-m, len(alpha) < m
-    alt = False
-    if len(lam) <= m:
-        r = lam.part(m)
-        alpha = Partition(lam.part(i) - r for i in range(1, m + 1))
-        alt = alpha.part(1) <= l - m and len(alpha) < m
-    if primary != alt:
-        raise RuntimeError(f"the two membership readings disagree on {lam}")
-    return primary
+    return len(lam) <= m and lam.part(1) - lam.part(m) <= l - m
 
 
 def restricted_part_mull_length(lam: Partition, l: int) -> int:

@@ -5,13 +5,16 @@ the special/good classifiers, enumeration, characters, decomposition
 matrices and the cross-check suites.  Partitions are written "4,2,1"
 (empty string for the zero partition).  Exit codes: 0 success, 1 a
 property check failed (with witnesses in the report), 2 usage or
-precondition errors.  Progress and warnings go to stderr only.
+precondition errors, 3 an internal invariant violation (RuntimeError),
+reported as one "internal error: ..." line that names the input.
+Progress and warnings go to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 
 from . import cache as cache_mod
@@ -266,6 +269,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        words = shlex.join(sys.argv[1:] if argv is None else argv)
+        print(f"internal error: {exc} (input: trunksym {words})", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,12 +2,12 @@
 decomposition numbers at quantum characteristic l.
 
 Basis vectors are indexed by partitions with coefficients in Z[v, v^-1].
-The residue-i induction operator adds i-nodes with a v-power counting
-addable-minus-removable i-nodes on one side of the added node; which side
-is pinned at runtime by a degree-2 anchor computation, as both conventions
-circulate.  Divided powers divide a repeated application by the balanced
-v-factorial, and the division must come out exact, which doubles as an
-internal consistency check.
+The divided power f_i^(k) adds k addable i-nodes in one step, with the
+v-power counting addable-minus-removable i-nodes above each added node
+(Lascoux-Leclerc-Thibon).  "Above" is the side fixed by the degree-2
+anchor f_1|1> = |2> + v|1,1> at l = 2, which the tests pin.  The balanced
+v-integers and factorials are kept as the reference that f_i^(k) equals
+f_i^k divided by [k]!.
 
 Canonical basis columns are produced by the usual first-approximation /
 bar-symmetric Gaussian elimination; terminal columns must be unitriangular
@@ -17,13 +17,13 @@ with coefficients in v*Z>=0[v], enforced with hard errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping
 
 from .partitions import (
     EMPTY,
     Partition,
     _check_l,
-    add_node,
     addable_nodes,
     cells,
     dominance_leq,
@@ -209,73 +209,38 @@ class FockVector:
 # induction operators
 
 
-_CONVENTION: str | None = None
-
-
-def _node_power(lam: Partition, node, i: int, l: int, convention: str) -> int:
-    adds = [B for B in addable_nodes(lam) if node_residue(B, l) == i]
-    rems = [R for R in removable_nodes(lam) if node_residue(R, l) == i]
-    if convention == "above":
-        return sum(B[0] < node[0] for B in adds) - sum(R[0] < node[0] for R in rems)
-    return sum(B[0] > node[0] for B in adds) - sum(R[0] > node[0] for R in rems)
-
-
-def _f_single(i: int, x: FockVector, l: int, convention: str) -> FockVector:
-    out: dict[Partition, LaurentPoly] = {}
-    for lam, coef in x.entries.items():
-        for node in addable_nodes(lam):
-            if node_residue(node, l) != i:
-                continue
-            mu = add_node(lam, node)
-            power = LaurentPoly.v(_node_power(lam, node, i, l, convention))
-            nv = out.get(mu, LaurentPoly.zero()) + coef * power
-            if nv:
-                out[mu] = nv
-            else:
-                out.pop(mu, None)
-    return FockVector(out)
-
-
-def _convention() -> str:
-    """Pin the v-power side against the degree-2 anchor at l = 2.
-
-    Acting with the residue-1 operator on the single-box partition must
-    give the two-box row plus v times the two-box column.
-    """
-    global _CONVENTION
-    if _CONVENTION is None:
-        target = FockVector(
-            {Partition((2,)): LaurentPoly.one(), Partition((1, 1)): LaurentPoly.v(1)}
-        )
-        probe = FockVector.basis(Partition((1,)))
-        for side in ("above", "below"):
-            if _f_single(1, probe, 2, side) == target:
-                _CONVENTION = side
-                break
-        else:
-            raise RuntimeError("neither node-counting convention matches the anchor")
-    return _CONVENTION
-
-
 def f_apply(i: int, k: int, x: FockVector, l: int) -> FockVector:
-    """Divided power of the residue-i induction operator.
+    """Divided power f_i^(k) of the residue-i induction operator.
 
-    Applies the single operator k times and divides by the balanced
-    v-factorial; division exactness is enforced.
+    For each lam in x and each k-set S of addable i-nodes of lam, adds
+    v^N(S) |lam + S>, where N(S) sums over b in S the addable i-nodes of
+    lam above b and not in S, minus the removable i-nodes of lam above b.
     """
     _check_l(l)
     if not 0 <= i < l:
         raise ValueError("residue out of range")
     if k < 1:
         raise ValueError("divided-power exponent must be positive")
-    side = _convention()
-    cur = x
-    for _ in range(k):
-        cur = _f_single(i, cur, l, side)
-    if k == 1 or cur.is_zero():
-        return cur
-    fact = gauss_factorial(k)
-    return FockVector({lam: p.exact_div(fact) for lam, p in cur.entries.items()})
+    # the t-th node of S (top row first) has t nodes of S above it
+    in_s_above = k * (k - 1) // 2
+    out: dict[Partition, LaurentPoly] = {}
+    for lam, coef in x.entries.items():
+        add_rows = [B[0] for B in addable_nodes(lam) if node_residue(B, l) == i]
+        rem_rows = [R[0] for R in removable_nodes(lam) if node_residue(R, l) == i]
+        # add_rows is top row first, so j addable i-nodes lie above add_rows[j]
+        weight = [j - sum(r < row for r in rem_rows) for j, row in enumerate(add_rows)]
+        for subset in combinations(range(len(add_rows)), k):
+            parts = list(lam) + [0]
+            for j in subset:
+                parts[add_rows[j] - 1] += 1
+            mu = Partition(parts)
+            power = LaurentPoly.v(sum(weight[j] for j in subset) - in_s_above)
+            nv = out.get(mu, LaurentPoly.zero()) + coef * power
+            if nv:
+                out[mu] = nv
+            else:
+                out.pop(mu, None)
+    return FockVector(out)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,9 @@ from .mullineux import (
     remove_l_edge,
 )
 from .classify import (
+    _fits_under,
+    _special_bool,
+    _subtract,
     distinguished_decomposition,
     is_distinguished,
     is_m_special,
@@ -96,10 +99,6 @@ class _Run:
             )
 
 
-def _special(lam: Partition, m: int, l: int) -> bool:
-    return lam.part(1) <= m * (l - 1) and restricted_part_mull_length(lam, l) <= m
-
-
 # ---------------------------------------------------------------------------
 # independent existence search for distinguished-sum decompositions
 
@@ -109,20 +108,10 @@ def _sub_partitions(lam: Partition) -> list[Partition]:
     out = []
     for d in range(lam.degree + 1):
         for eta in partitions_of(d, max_len=len(lam) or None, max_part=lam.part(1) or None):
-            if d and not _fits(lam, eta):
+            if d and not _fits_under(lam, eta):
                 continue
             out.append(eta)
     return out
-
-
-def _fits(lam: Partition, eta: Partition) -> bool:
-    prev = None
-    for i in range(1, len(lam) + 1):
-        diff = lam.part(i) - eta.part(i)
-        if diff < 0 or (prev is not None and diff > prev):
-            return False
-        prev = diff
-    return len(eta) <= len(lam)
 
 
 @lru_cache(maxsize=None)
@@ -134,8 +123,7 @@ def _brute_force_special(lam: Partition, m: int, l: int) -> bool:
         for eta in _sub_partitions(lam):
             if not is_distinguished(eta, q, l):
                 continue
-            rest = Partition(lam.part(i) - eta.part(i) for i in range(1, len(lam) + 1))
-            if _brute_force_special(rest, m - q, l):
+            if _brute_force_special(_subtract(lam, eta), m - q, l):
                 return True
     return False
 
@@ -274,7 +262,7 @@ def _suite_reciprocity_removal(run: _Run, ls, max_m, max_degree) -> None:
         for m in range(1, max_m + 1):
             for deg in range(max_degree + 1):
                 for lam in partitions_of(deg):
-                    special = _special(lam, m, l)
+                    special = _special_bool(lam, m, l)
                     # reflection inside the box
                     if lam.part(1) <= m * (l - 1):
                         for n in (len(lam), len(lam) + 1):
@@ -282,19 +270,19 @@ def _suite_reciprocity_removal(run: _Run, ls, max_m, max_degree) -> None:
                                 continue
                             mirrored = dagger(lam, m, l, n)
                             run.check(
-                                _special(mirrored, m, l) == special,
+                                _special_bool(mirrored, m, l) == special,
                                 (l, m, lam, n),
                                 special,
-                                _special(mirrored, m, l),
+                                _special_bool(mirrored, m, l),
                             )
                     # full first row forces tail equivalence
                     if lam.part(1) == m * (l - 1):
                         tail = Partition(lam[1:])
                         run.check(
-                            _special(tail, m, l) == special,
+                            _special_bool(tail, m, l) == special,
                             (l, m, lam),
                             special,
-                            _special(tail, m, l),
+                            _special_bool(tail, m, l),
                         )
                     if not special:
                         continue
@@ -303,7 +291,7 @@ def _suite_reciprocity_removal(run: _Run, ls, max_m, max_degree) -> None:
                         first_rows = Partition(lam[:-1])
                         last_rows = Partition(lam[1:])
                         run.check(
-                            _special(first_rows, m, l) and _special(last_rows, m, l),
+                            _special_bool(first_rows, m, l) and _special_bool(last_rows, m, l),
                             (l, m, lam),
                             "row removals stay special",
                             (first_rows, last_rows),
@@ -312,7 +300,7 @@ def _suite_reciprocity_removal(run: _Run, ls, max_m, max_degree) -> None:
                     for node in node_sets(lam, l).suitable:
                         trimmed = remove_node(lam, node)
                         run.check(
-                            _special(trimmed, m, l),
+                            _special_bool(trimmed, m, l),
                             (l, m, lam, node),
                             "suitable-node removal stays special",
                             trimmed,
@@ -323,13 +311,13 @@ def _suite_reciprocity_removal(run: _Run, ls, max_m, max_degree) -> None:
                 for d1 in range(max_degree + 1):
                     for d2 in range(max_degree + 1 - d1):
                         for lam in partitions_of(d1):
-                            if not _special(lam, m1, l):
+                            if not _special_bool(lam, m1, l):
                                 continue
                             for mu in partitions_of(d2):
-                                if not _special(mu, m2, l):
+                                if not _special_bool(mu, m2, l):
                                     continue
                                 run.check(
-                                    _special(add(lam, mu), m, l),
+                                    _special_bool(add(lam, mu), m, l),
                                     (l, m1, m2, lam, mu),
                                     "sum is special",
                                     add(lam, mu),

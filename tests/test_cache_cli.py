@@ -2,6 +2,7 @@
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -19,6 +20,7 @@ from trunksym.cache import (
 )
 from trunksym.classify import is_m_special
 from trunksym.suites import run_suite
+from trunksym import cli
 from trunksym.cli import main
 
 P = Partition
@@ -84,6 +86,36 @@ class TestCache:
         schema = load_schema("matrix-cache.schema.json")
         payload = matrix_payload(decomposition_matrix(4, 3))
         jsonschema.validate(payload, schema)
+
+    @pytest.mark.parametrize(
+        "l, r, checksum",
+        [
+            (2, 10, "d69fd849a6ac753b3bafa10b272553660d117c98c815cb0255703e7305c83e6c"),
+            (3, 10, "79d75e8d82373d338dbbab2de185c08327a6d486007bba17a29d348a3dc46138"),
+            (4, 8, "b5dfef8d33fbfc404f60405a529ad37cf357663e2bcb62dd1f24ae70cffce501"),
+            (5, 8, "294456762a1064c0c07127de75a865051d4502061054b16ab4797f63f00b4aac"),
+        ],
+    )
+    def test_pinned_checksums(self, l, r, checksum):
+        # payload checksums of the llt-v1 generator; a change here is a new generator
+        assert matrix_payload(decomposition_matrix(r, l))["checksum"] == checksum
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = cache_put(tmp_path, decomposition_matrix(4, 2))
+        before = path.read_bytes()
+
+        def torn_write(self, text, encoding=None):
+            with open(self, "w", encoding=encoding) as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            cache_put(tmp_path, decomposition_matrix(4, 2))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert cache_get(tmp_path, 2, 4) == decomposition_matrix(4, 2)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_path_layout(self, tmp_path):
         assert cache_path(tmp_path, 3, 7).name == "decomp-l3-r7.json"
@@ -185,6 +217,18 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, load_schema("matrix-cache.schema.json"))
         assert cache_path(tmp_path, 2, 2).exists()
+
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        def broken(lam, m, l):
+            raise RuntimeError("invariant violated")
+
+        monkeypatch.setattr(cli, "is_m_special", broken)
+        assert main(["special", "4,2", "--l", "3", "--m", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: invariant violated (input: trunksym special 4,2 --l 3 --m 2)\n"
+        )
 
     def test_decomp_matrix_cap(self, capsys):
         assert main(["decomp-matrix", "--l", "2", "--degree", "11"]) == 2

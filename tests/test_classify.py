@@ -101,6 +101,19 @@ class TestPhi:
         with pytest.raises(ValueError, match="parameter range"):
             phi_contains(P((1,)), 2, 2)
 
+    def test_rectangle_plus_alpha_reading(self):
+        # lam is in Phi_m exactly when lam = r^m + alpha, alpha_1 <= l-m, len(alpha) < m
+        for l in range(2, 6):
+            for m in range(1, l):
+                for deg in range(13):
+                    for lam in partitions_of(deg):
+                        alt = False
+                        if len(lam) <= m:
+                            r = lam.part(m)
+                            alpha = P(lam.part(i) - r for i in range(1, m + 1))
+                            alt = alpha.part(1) <= l - m and len(alpha) < m
+                        assert phi_contains(lam, m, l) == alt, (l, m, lam)
+
 
 class TestSpecialClassifier:
     def test_examples(self):

@@ -69,6 +69,7 @@ class TestFockVector:
 
 class TestOperators:
     def test_examples(self):
+        # the second assertion is the degree-2 anchor that fixes the "above" side
         assert f_apply(0, 1, FockVector.basis(EMPTY), 2) == FockVector({P((1,)): one})
         assert f_apply(1, 1, FockVector.basis(P((1,))), 2) == FockVector(
             {P((2,)): one, P((1, 1)): v(1)}
@@ -78,6 +79,20 @@ class TestOperators:
     def test_residue_range(self):
         with pytest.raises(ValueError, match="residue out of range"):
             f_apply(3, 1, FockVector.basis(EMPTY), 3)
+
+    def test_divided_power_is_repeated_power_over_factorial(self):
+        # f_i^(k) = f_i^k / [k]!, with the single step as the reference
+        for l in (2, 3, 4, 5):
+            for deg in range(9):
+                for lam in partitions_of(deg):
+                    for i in range(l):
+                        cur = FockVector.basis(lam)
+                        for k in range(1, 5):
+                            cur = f_apply(i, 1, cur, l)
+                            expected = FockVector(
+                                {mu: p.exact_div(gauss_factorial(k)) for mu, p in cur.entries.items()}
+                            )
+                            assert f_apply(i, k, FockVector.basis(lam), l) == expected
 
     def test_divided_power_matches_subset_sum(self):
         # two boxes of equal residue on one ladder: f^(2) of the vacuum
