@@ -163,11 +163,17 @@ def _cmd_crosscheck(args) -> int:
         "seed": args.seed,
         "cache_dir": args.cache,
     }
+    given = {k: v for k, v in overrides.items() if v is not None}
     reports = []
     failed = False
     for name in names:
         defaults = SUITES[name][1]
-        applicable = {k: v for k, v in overrides.items() if v is not None and k in defaults}
+        refused = [k for k in given if k not in defaults]
+        if refused and args.suite != "all":
+            key = refused[0]
+            flag = {"ls": "--l", "cache_dir": "--cache"}.get(key, "--" + key.replace("_", "-"))
+            raise ValueError(f"suite {name!r} does not take {flag}")
+        applicable = {k: v for k, v in given.items() if k in defaults}
         print(f"running {name} ...", file=sys.stderr)
         report = run_suite(name, **applicable)
         reports.append(report)

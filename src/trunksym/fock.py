@@ -375,9 +375,6 @@ class DecompositionMatrix:
         )
 
 
-_MATRIX_MEMO: dict[tuple[int, int], DecompositionMatrix] = {}
-
-
 def decomposition_matrix(
     r: int, l: int, allow_large: bool = False, progress=None
 ) -> DecompositionMatrix:
@@ -395,9 +392,6 @@ def decomposition_matrix(
             f"degree {r} is above the default cap {degree_cap(l)} for l={l}; "
             "pass allow_large (CLI: --unsafe-large) to override"
         )
-    key = (l, r)
-    if key in _MATRIX_MEMO:
-        return _MATRIX_MEMO[key]
     rows = tuple(partitions_of(r))
     cols = tuple(lam for lam in rows if is_regular(lam, l))
     prior: dict[Partition, FockVector] = {}
@@ -411,16 +405,19 @@ def decomposition_matrix(
             val = poly.evaluate_one()
             if val:
                 entries[(lam, mu)] = val
-    mat = DecompositionMatrix(l=l, degree=r, rows=rows, cols=cols, entries=entries)
-    _MATRIX_MEMO[key] = mat
-    return mat
+    return DecompositionMatrix(l=l, degree=r, rows=rows, cols=cols, entries=entries)
 
 
 def nabla_multiplicity(
     tau: Partition, lam: Partition, l: int, matrix: DecompositionMatrix | None = None
 ) -> int:
     """Multiplicity of the simple labelled by restricted lam in the standard
-    module labelled by tau, read off the canonical-basis matrix."""
+    module labelled by tau, read off the canonical-basis matrix.
+
+    Without matrix= the whole matrix of the degree is computed on every
+    call; nothing is memoised in the process.  To reuse a matrix, pass it
+    as matrix= or read it through the disk cache (cache.load_or_compute).
+    """
     _check_l(l)
     tau, lam = Partition(tau), Partition(lam)
     if not is_restricted(lam, l):

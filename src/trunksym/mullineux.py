@@ -8,15 +8,14 @@ where the previous run stopped.  Mullineux components are the row blocks
 cut at segment ends; the involution itself is reconstructed stage by stage
 from the symbol of successive l-edge removals.
 
-Two independent readings of the edge (the rim walk and the component
-formula) are computed side by side and must agree; a mismatch is an
-internal error, never a silent wrong answer.
+The edge is read once, by the rim walk.  Its agreement with the component
+formula (segment ends are the running sums of the component lengths) is a
+test, not a check made on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -82,7 +81,7 @@ def mullineux_components(lam: Partition, l: int) -> list[Partition]:
 
 
 def l_edge(lam: Partition, l: int) -> LEdge:
-    """Select the l-edge off the rim and cross-check it against components."""
+    """Select the l-edge off the rim, in runs of at most l nodes."""
     _check_l(l)
     lam = Partition(lam)
     border = rim(lam)
@@ -97,14 +96,6 @@ def l_edge(lam: Partition, l: int) -> LEdge:
         pos += len(chunk)
         while pos < len(border) and border[pos][0] <= last_row:
             pos += 1
-    if lam:
-        comps = mullineux_components(lam, l)
-        expected = l * (len(comps) - 1) + min(l, edge_length(comps[-1]))
-        ends = list(accumulate(len(c) for c in comps))
-        if expected != len(taken) or ends != seg_rows:
-            raise RuntimeError(
-                f"edge walk and component formula disagree on {lam} at l={l}"
-            )
     return LEdge(tuple(taken), len(taken), tuple(seg_rows))
 
 
@@ -152,77 +143,63 @@ def mullineux_symbol(mu: Partition, l: int) -> MullineuxSymbol:
     rows: list[tuple[int, int]] = []
     stage = mu
     while stage:
-        rows.append((l_edge(stage, l).size, len(stage)))
-        stage = remove_l_edge(stage, l)
+        rest = remove_l_edge(stage, l)
+        rows.append((stage.degree - rest.degree, len(stage)))
+        stage = rest
     return MullineuxSymbol(tuple(rows))
 
 
 def add_l_edge(nu: Partition, a: int, r: int, l: int) -> Partition:
-    """The unique partition of length r whose l-edge removal leaves nu.
+    """The unique partition lam of length r whose l-edge of size a removes to nu.
 
-    Every row of the extension loses between 1 and l nodes when the edge
-    is stripped, which bounds the search box; candidates are then settled
-    by the round-trip removal check.  No match and multiple matches are
-    both hard errors (the latter must never happen on a valid symbol).
+    The inverse of edge removal is a construction (Bessenrodt-Olsson,
+    J. Algebraic Combin. 7 (1998)).  The edge splits into ceil(a/l)
+    segments, all of size l but the bottom one.  They are rebuilt from the
+    bottom up, starting from the end row e = r: a segment of size z ending
+    in row e has t = z + nu_e - e and starts in row
+    s = 1 + #{i < e : nu_i - i >= t}; then lam_s = t + s, lam_i = nu_(i-1) + 1
+    for s < i <= e, and the next segment ends in row s - 1.  The rebuild
+    must end at row 0 with a partition of length r and degree |nu| + a that
+    removes back to nu; otherwise no extension exists.
     """
     _check_l(l)
     nu = Partition(nu)
     if not (a >= r >= 1):
         raise ValueError(f"need a >= r >= 1, got a={a}, r={r}")
-    if len(nu) > r:
+    k = -(-a // l)
+    parts = [0] * (r + 1)
+    e = r
+    for z in [a - l * (k - 1)] + [l] * (k - 1):
+        if e < 1:
+            raise ValueError("no edge extension")
+        t = z + nu.part(e) - e
+        s = 1 + sum(1 for i in range(1, e) if nu.part(i) - i >= t)
+        parts[s] = t + s
+        for i in range(s + 1, e + 1):
+            parts[i] = nu.part(i - 1) + 1
+        e = s - 1
+    rows = parts[1:]
+    if e != 0 or rows[-1] < 1 or any(x < y for x, y in zip(rows, rows[1:])):
         raise ValueError("no edge extension")
-    lows = [nu.part(i) + 1 for i in range(1, r + 1)]
-    highs = [nu.part(i) + l for i in range(1, r + 1)]
-    suffix_lo = list(accumulate(reversed(lows)))[::-1] + [0]
-    suffix_hi = list(accumulate(reversed(highs)))[::-1] + [0]
-    target = nu.degree + a
-    matches: list[Partition] = []
-
-    def search(i: int, cap: int, remaining: int, prefix: tuple[int, ...]) -> None:
-        if i == r:
-            if suffix_lo[i] <= remaining <= suffix_hi[i] and remaining == 0:
-                cand = Partition(prefix)
-                if remove_l_edge(cand, l) == nu:
-                    matches.append(cand)
-            return
-        if not suffix_lo[i] <= remaining <= suffix_hi[i]:
-            return
-        hi = min(highs[i], cap, remaining - suffix_lo[i + 1])
-        for v in range(hi, lows[i] - 1, -1):
-            search(i + 1, v, remaining - v, prefix + (v,))
-
-    search(0, target, target, ())
-    if not matches:
+    lam = Partition(rows)
+    if lam.degree != nu.degree + a or remove_l_edge(lam, l) != nu:
         raise ValueError("no edge extension")
-    if len(matches) > 1:
-        raise ValueError(f"ambiguous extension: {matches}")
-    return matches[0]
-
-
-@lru_cache(maxsize=None)
-def _mullineux_cached(mu: Partition, l: int) -> Partition:
-    symbol = mullineux_symbol(mu, l)
-    out = EMPTY
-    for a, length in reversed(symbol.rows):
-        target_len = a - length + (0 if a % l == 0 else 1)
-        out = add_l_edge(out, a, target_len, l)
-    if out.degree != mu.degree or not is_regular(out, l):
-        raise RuntimeError(f"reconstruction of the conjugate of {mu} went wrong")
-    return out
+    return lam
 
 
 def mullineux(mu: Partition, l: int) -> Partition:
     """The Mullineux conjugate: flip each symbol row's length and rebuild.
 
     The flipped length is a - r when l divides a and a - r + 1 otherwise;
-    add_l_edge settles each stage uniquely, so remove_l_edge round-trips by
-    construction.
+    add_l_edge rebuilds each stage and round-trips it through remove_l_edge.
     """
-    _check_l(l)
-    mu = Partition(mu)
-    if not is_regular(mu, l):
-        raise ValueError("not l-regular")
-    return _mullineux_cached(mu, l)
+    symbol = mullineux_symbol(mu, l)
+    out = EMPTY
+    for a, length in reversed(symbol.rows):
+        out = add_l_edge(out, a, a - length + (0 if a % l == 0 else 1), l)
+    if out.degree != symbol.degree or not is_regular(out, l):
+        raise RuntimeError(f"reconstruction of the conjugate of {mu} went wrong")
+    return out
 
 
 def mullineux_length(mu: Partition, l: int) -> int:

@@ -257,6 +257,14 @@ class TestCli:
             main(["crosscheck", "--suite", "nope"])
         assert err.value.code == 2
 
+    def test_crosscheck_refuses_flag_the_suite_does_not_take(self, capsys):
+        assert main(["crosscheck", "--suite", "core-residues", "--max-m", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "--max-m" in captured.err
+        assert "running" not in captured.err and captured.out == ""
+        assert main(["crosscheck", "--suite", "phi-bijection", "--cache", "x"]) == 2
+        assert "--cache" in capsys.readouterr().err
+
     def test_malformed_partition_is_usage_error(self, capsys):
         assert main(["core", "4, 2", "--l", "2"]) == 2
         assert "malformed" in capsys.readouterr().err

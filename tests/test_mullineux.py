@@ -1,10 +1,13 @@
 """Edge combinatorics, the involution and the constructive node selectors."""
 
+from itertools import accumulate
+
 import pytest
 
 from trunksym.partitions import (
     EMPTY,
     Partition,
+    _check_l,
     is_regular,
     is_restricted,
     l_core,
@@ -85,8 +88,9 @@ class TestComponents:
         assert mullineux_components(P((4, 1)), 3) == [P((4,)), P((1,))]
 
     def test_concatenation_and_edge_formula(self):
-        for l in (2, 3, 5):
-            for deg in range(1, 13):
+        # the rim walk and the component formula are two readings of the edge
+        for l in (2, 3, 4, 5):
+            for deg in range(1, 15):
                 for lam in partitions_of(deg):
                     comps = mullineux_components(lam, l)
                     flat = []
@@ -94,8 +98,12 @@ class TestComponents:
                         flat.extend(c)
                     assert P(flat) == lam
                     t = len(comps)
-                    assert l_edge(lam, l).size == l * (t - 1) + min(
+                    edge = l_edge(lam, l)
+                    assert edge.size == l * (t - 1) + min(
                         l, edge_length(comps[-1])
+                    )
+                    assert list(edge.segment_rows) == list(
+                        accumulate(len(c) for c in comps)
                     )
 
     def test_connectivity_examples(self):
@@ -129,6 +137,56 @@ class TestSymbol:
             mullineux_symbol(P((1, 1)), 2)
 
 
+def _reference_add_l_edge(nu: Partition, a: int, r: int, l: int) -> Partition:
+    """The unique partition of length r whose l-edge removal leaves nu.
+
+    Every row of the extension loses between 1 and l nodes when the edge
+    is stripped, which bounds the search box; candidates are then settled
+    by the round-trip removal check.  No match and multiple matches are
+    both hard errors (the latter must never happen on a valid symbol).
+    """
+    _check_l(l)
+    nu = Partition(nu)
+    if not (a >= r >= 1):
+        raise ValueError(f"need a >= r >= 1, got a={a}, r={r}")
+    if len(nu) > r:
+        raise ValueError("no edge extension")
+    lows = [nu.part(i) + 1 for i in range(1, r + 1)]
+    highs = [nu.part(i) + l for i in range(1, r + 1)]
+    suffix_lo = list(accumulate(reversed(lows)))[::-1] + [0]
+    suffix_hi = list(accumulate(reversed(highs)))[::-1] + [0]
+    target = nu.degree + a
+    matches: list[Partition] = []
+
+    def search(i: int, cap: int, remaining: int, prefix: tuple[int, ...]) -> None:
+        if i == r:
+            if suffix_lo[i] <= remaining <= suffix_hi[i] and remaining == 0:
+                cand = Partition(prefix)
+                if remove_l_edge(cand, l) == nu:
+                    matches.append(cand)
+            return
+        if not suffix_lo[i] <= remaining <= suffix_hi[i]:
+            return
+        hi = min(highs[i], cap, remaining - suffix_lo[i + 1])
+        for v in range(hi, lows[i] - 1, -1):
+            search(i + 1, v, remaining - v, prefix + (v,))
+
+    search(0, target, target, ())
+    if not matches:
+        raise ValueError("no edge extension")
+    if len(matches) > 1:
+        raise ValueError(f"ambiguous extension: {matches}")
+    return matches[0]
+
+
+def _extension_or_none(fn, nu, a, r, l):
+    try:
+        return fn(nu, a, r, l)
+    except ValueError as exc:
+        assert str(exc) == "no edge extension"
+        return None
+
+
 class TestAddLEdge:
     def test_examples(self):
         assert add_l_edge(EMPTY, 3, 2, 2) == P((2, 1))
@@ -149,6 +207,20 @@ class TestAddLEdge:
                     nu = remove_l_edge(lam, l)
                     rebuilt = add_l_edge(nu, lam.degree - nu.degree, len(lam), l)
                     assert rebuilt == lam
+
+    def test_construction_matches_bounded_search(self):
+        # the construction against the generate-and-test search it replaced
+        inputs = 0
+        for l in (2, 3, 4, 5):
+            for deg in range(9):
+                for nu in partitions_of(deg):
+                    for a in range(1, 11):
+                        for r in range(1, a + 1):
+                            inputs += 1
+                            assert _extension_or_none(
+                                add_l_edge, nu, a, r, l
+                            ) == _extension_or_none(_reference_add_l_edge, nu, a, r, l)
+        assert inputs == 14740
 
 
 class TestMullineux:
