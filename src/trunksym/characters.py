@@ -5,12 +5,16 @@ freeness identity relating full and truncated tensor characters.
 A symmetric polynomial in n variables is stored on dominant (weakly
 decreasing) exponent vectors only; the coefficient of a dominant vector is
 the coefficient of the whole orbit.  All arithmetic is exact integers.
+Power characters are products of one-variable series prod_i h(x_i), so a
+monomial's coefficient is a product of series coefficients; only the graded
+identity multiplies orbits, as its independent check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from typing import Iterator, Mapping
 
 from .partitions import Partition, _check_l, partitions_of
@@ -103,12 +107,6 @@ class MonomialChar:
 
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.terms)
-
-    def degrees(self) -> list[int]:
-        return sorted({sum(k) for k in self.terms})
-
-    def degree_slice(self, r: int) -> "MonomialChar":
-        return MonomialChar(self.n, {k: c for k, c in self.terms.items() if sum(k) == r})
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -345,44 +343,42 @@ def pieri_e(lam: Partition, r: int, n: int) -> SchurExpansion:
 # power characters and the graded identity
 
 
+def _series_power(base: list[int], m: int, top: int) -> list[int]:
+    """Coefficients of x^0, ..., x^top in base(x)^m."""
+    out = [1] + [0] * top
+    for _ in range(m):
+        out = [sum(out[d - k] * c for k, c in enumerate(base[: d + 1])) for d in range(top + 1)]
+    return out
+
+
+def _power_slice(series: list[int], n: int, r: int) -> MonomialChar:
+    """Degree-r slice of prod_i h(x_i), h(x) = sum_k series[k] x^k; the
+    coefficient of mu is prod_i series[mu_i], so no orbit is expanded."""
+    keys = (mu.padded(n) for mu in partitions_of(r, max_len=n, max_part=len(series) - 1))
+    return MonomialChar(n, {key: prod(series[e] for e in key) for key in keys})
+
+
 def truncated_power_char(r: int, n: int, l: int) -> MonomialChar:
     """Degree-r character of the truncated symmetric power: exponents < l."""
     _check_l(l)
     if r < 0:
         raise ValueError("degree must be nonnegative")
-    terms = {
-        mu.padded(n): 1 for mu in partitions_of(r, max_len=n, max_part=l - 1)
-    }
-    return MonomialChar(n, terms)
+    return _power_slice([1] * l, n, r)
 
 
 def full_power_char(r: int, n: int) -> MonomialChar:
     """Degree-r character of the full symmetric power (all monomials)."""
     if r < 0:
         raise ValueError("degree must be nonnegative")
-    return MonomialChar(n, {mu.padded(n): 1 for mu in partitions_of(r, max_len=n)})
-
-
-def _graded_power(slices: list[MonomialChar], m: int, n: int) -> list[MonomialChar]:
-    """Degree slices of the m-fold product of a graded character."""
-    top = len(slices) - 1
-    cur = [MonomialChar.one(n)] + [MonomialChar.zero(n)] * top
-    for _ in range(m):
-        nxt = []
-        for d in range(top + 1):
-            acc = MonomialChar.zero(n)
-            for i in range(d + 1):
-                if cur[i].is_zero() or slices[d - i].is_zero():
-                    continue
-                acc = acc + cur[i] * slices[d - i]
-            nxt.append(acc)
-        cur = nxt
-    return cur
+    return _power_slice([1] * (r + 1), n, r)
 
 
 def truncated_tensor_char(m: int, n: int, l: int, r: int) -> SchurExpansion:
     """Schur expansion of the degree-r slice of the m-fold truncated power.
 
+    The m-fold power is prod_i g(x_i) with g(x) = (1 + x + ... + x^(l-1))^m,
+    so the coefficient of a dominant monomial mu is prod_i [x^(mu_i)] g;
+    the Kostka triangle then turns the monomial slice into Schur functions.
     Coefficients may be negative (the truncated powers are not filtered by
     standard modules in general; already the degree-3 slice at l = 3 in 3
     variables is s_(2,1) - s_(1,1,1)).  The support bound first part <=
@@ -391,9 +387,7 @@ def truncated_tensor_char(m: int, n: int, l: int, r: int) -> SchurExpansion:
     _check_l(l)
     if m < 0 or r < 0:
         raise ValueError("m and r must be nonnegative")
-    base = [truncated_power_char(d, n, l) for d in range(r + 1)]
-    chi = _graded_power(base, m, n)[r]
-    out = monomials_to_schur(chi)
+    out = monomials_to_schur(_power_slice(_series_power([1] * l, m, r), n, r))
     for lam in out.coeffs:
         if lam.part(1) > m * (l - 1):
             raise RuntimeError(
@@ -411,17 +405,18 @@ def frobenius_stretch(chi: MonomialChar, l: int) -> MonomialChar:
 def verify_graded_free_identity(m: int, n: int, l: int, r: int) -> bool:
     """Degree-r slice of the full m-fold power vs truncated times stretched.
 
-    Checks ch H_r = sum over i + l*j = r of ch Hbar_i * stretch(ch H_j).
+    Checks ch H_r = sum over i + l*j = r of ch Hbar_i * stretch(ch H_j),
+    multiplying the series-built slices by orbit expansion.
     """
     _check_l(l)
     if m < 0 or r < 0:
         raise ValueError("m and r must be nonnegative")
-    full = _graded_power([full_power_char(d, n) for d in range(r + 1)], m, n)
-    trunc = _graded_power([truncated_power_char(d, n, l) for d in range(r + 1)], m, n)
+    full = _series_power([1] * (r + 1), m, r)
+    trunc = _series_power([1] * l, m, r)
     rhs = MonomialChar.zero(n)
     for j in range(r // l + 1):
-        i = r - l * j
-        if trunc[i].is_zero():
+        hbar = _power_slice(trunc, n, r - l * j)
+        if hbar.is_zero():
             continue
-        rhs = rhs + trunc[i] * frobenius_stretch(full[j], l)
-    return full[r] == rhs
+        rhs = rhs + hbar * frobenius_stretch(_power_slice(full, n, j), l)
+    return _power_slice(full, n, r) == rhs

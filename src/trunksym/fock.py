@@ -272,7 +272,7 @@ def ladder_monomial(mu: Partition, l: int) -> FockVector:
     if vec.coefficient(mu) != LaurentPoly.one():
         raise RuntimeError(f"ladder monomial of {mu} has a bad leading term")
     for nu in vec.entries:
-        if nu != mu and not (dominance_leq(nu, mu) and nu != mu):
+        if nu != mu and not dominance_leq(nu, mu):
             raise RuntimeError(f"ladder monomial of {mu} has support above {mu}")
     return vec
 

@@ -210,6 +210,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert {"partition": [2], "coeff": 1} in payload["schur_expansion"]
 
+    def test_char_preconditions(self, capsys):
+        assert main(["char", "--m", "1", "--n", "0", "--l", "2", "--degree", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need at least one variable" in captured.err
+        assert main(["char", "--m", "1", "--n", "2", "--l", "2", "--degree", "-1"]) == 2
+        assert capsys.readouterr().out == ""
+        assert main(["char", "--m", "0", "--n", "2", "--l", "2", "--degree", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schur_expansion"] == [{"partition": [], "coeff": 1}]
+
     def test_decomp_matrix_with_cache(self, capsys, tmp_path):
         assert main(
             ["decomp-matrix", "--l", "2", "--degree", "2", "--cache", str(tmp_path)]

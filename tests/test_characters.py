@@ -8,6 +8,8 @@ from trunksym.partitions import EMPTY, Partition, dominance_leq, partitions_of, 
 from trunksym.characters import (
     MonomialChar,
     SchurExpansion,
+    _power_slice,
+    _series_power,
     frobenius_stretch,
     full_power_char,
     kostka,
@@ -61,6 +63,31 @@ def ssyt_count(shape, content):
 
     fill(0, 0)
     return total
+
+
+def _reference_graded_power(slices: list[MonomialChar], m: int, n: int) -> list[MonomialChar]:
+    """Degree slices of the m-fold product of a graded character."""
+    top = len(slices) - 1
+    cur = [MonomialChar.one(n)] + [MonomialChar.zero(n)] * top
+    for _ in range(m):
+        nxt = []
+        for d in range(top + 1):
+            acc = MonomialChar.zero(n)
+            for i in range(d + 1):
+                if cur[i].is_zero() or slices[d - i].is_zero():
+                    continue
+                acc = acc + cur[i] * slices[d - i]
+            nxt.append(acc)
+        cur = nxt
+    return cur
+
+
+def _reference_power_chars(top, n, max_part=None):
+    """Degree 0..top slices with every monomial (exponents <= max_part) once."""
+    return [
+        MonomialChar(n, {mu.padded(n): 1 for mu in partitions_of(d, max_len=n, max_part=max_part)})
+        for d in range(top + 1)
+    ]
 
 
 class TestMonomialChar:
@@ -219,6 +246,48 @@ class TestTruncatedPowers:
                     big = truncated_tensor_char(m, r + 2, l, r)
                     for lam, coef in small.coeffs.items():
                         assert big.coefficient(lam) == coef
+
+    def test_large_m_closed_form(self):
+        # l = 2: the series is (1 + x)^m, so the degree-2 slice in two
+        # variables is C(m,2) m_(2) + m^2 m_(1,1)
+        m = 1000
+        assert truncated_tensor_char(m, 2, 2, 2).coeffs == {
+            P((2,)): m * (m - 1) // 2,
+            P((1, 1)): m * m - m * (m - 1) // 2,
+        }
+
+
+class TestSeriesSlices:
+    """The series construction against the m-fold orbit products it replaced."""
+
+    TOP = 10
+
+    def test_series_power(self):
+        assert _series_power([1, 1], 3, 5) == [1, 3, 3, 1, 0, 0]
+        assert _series_power([1, 1, 1], 2, 3) == [1, 2, 3, 2]
+        assert _series_power([1, 1], 0, 2) == [1, 0, 0]
+
+    def test_power_slice_matches_orbit_products(self):
+        for n in range(1, 5):
+            bases = {"full": ([1] * (self.TOP + 1), _reference_power_chars(self.TOP, n))}
+            for l in (2, 3, 4):
+                bases[l] = ([1] * l, _reference_power_chars(self.TOP, n, l - 1))
+            for name, (base, slices) in bases.items():
+                for m in range(4):
+                    series = _series_power(base, m, self.TOP)
+                    reference = _reference_graded_power(slices, m, n)
+                    for r in range(self.TOP + 1):
+                        assert _power_slice(series, n, r) == reference[r], (name, m, n, r)
+
+    def test_tensor_char_matches_orbit_products(self):
+        for n in range(1, 5):
+            for l in (2, 3, 4):
+                trunc = _reference_power_chars(self.TOP, n, l - 1)
+                for m in range(4):
+                    reference = _reference_graded_power(trunc, m, n)
+                    for r in range(self.TOP + 1):
+                        expected = monomials_to_schur(reference[r])
+                        assert truncated_tensor_char(m, n, l, r) == expected, (m, n, l, r)
 
 
 class TestStretch:
