@@ -83,8 +83,6 @@ from .fock import (
     canonical_column,
     decomposition_matrix,
     f_apply,
-    gauss_factorial,
-    gauss_integer,
     ladder_monomial,
     nabla_multiplicity,
 )

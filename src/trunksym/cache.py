@@ -1,10 +1,14 @@
 """Disk cache for decomposition matrices.
 
 One JSON file per (l, degree), written in canonical form (sorted keys,
-fixed entry order, compact separators) so identical content is identical
-bytes.  Files carry a sha256 checksum of their own payload; anything that
-fails parsing, schema shape, checksum or header match is rejected with
-CacheIntegrityError and recomputed, never silently trusted.
+fixed entry order, compact separators, one final newline) so identical
+content is identical bytes.  Files carry the sha256 of their canonical
+payload without the checksum member.  That member sorts first, so the
+reader verifies the checksum over the file's own bytes with the member
+cut out, without encoding the payload again; a file in any other layout
+(pretty-printed, reordered, no final newline) fails that check.  Anything
+that fails the layout, checksum, parsing, schema shape or header match is
+rejected with CacheIntegrityError and recomputed, never silently trusted.
 """
 
 from __future__ import annotations
@@ -63,8 +67,6 @@ def matrix_from_payload(payload) -> DecompositionMatrix:
         raise CacheIntegrityError(
             f"cache integrity: generator {payload['generator']!r} != {CACHE_GENERATOR!r}"
         )
-    if payload["checksum"] != _payload_checksum(payload):
-        raise CacheIntegrityError("cache integrity: checksum mismatch")
     try:
         rows = tuple(Partition(p) for p in payload["rows"])
         cols = tuple(Partition(p) for p in payload["cols"])
@@ -111,14 +113,38 @@ def cache_put(cache_dir, mat: DecompositionMatrix) -> Path:
     return path
 
 
+_CHECKSUM_HEAD = b'{"checksum":"'
+
+
+def _verify_checksum(data: bytes) -> None:
+    """Check a file's checksum over its bytes, as cache_put lays them out:
+    '{"checksum":"<hex>",' then the rest of the canonical body and a newline."""
+    head = len(_CHECKSUM_HEAD)
+    digest = data[head : head + 64]
+    if not (
+        data.startswith(_CHECKSUM_HEAD)
+        and data[head + 64 : head + 66] == b'",'
+        and data.endswith(b"}\n")
+    ):
+        raise CacheIntegrityError("cache integrity: file is not in canonical layout")
+    body = b"{" + data[head + 66 : -1]
+    if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
+        raise CacheIntegrityError("cache integrity: checksum mismatch")
+
+
 def cache_get(cache_dir, l: int, r: int) -> DecompositionMatrix | None:
     """Read one cached matrix; None when absent, CacheIntegrityError when bad."""
     path = cache_path(cache_dir, l, r)
     if not path.exists():
         return None
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise CacheIntegrityError(f"cache integrity: unreadable file ({exc})") from exc
+    _verify_checksum(data)
+    try:
+        payload = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CacheIntegrityError(f"cache integrity: unreadable file ({exc})") from exc
     mat = matrix_from_payload(payload)
     if mat.l != l or mat.degree != r:

@@ -251,7 +251,11 @@ def _oracle_confirm(lam: Partition, m: int, l: int, matrix, expected: bool) -> N
     if matrix.degree != lam.degree or matrix.l != l:
         raise ValueError("oracle matrix does not match the partition's degree and l")
     col = mullineux(transpose(lam), l)
-    observed = any(len(tau) <= m and matrix.entry(tau, col) for tau in matrix.rows)
+    if col not in matrix.cols:
+        raise ValueError(f"{col} is not a column label (not l-regular?)")
+    observed = any(
+        len(tau) <= m and matrix.entries.get((tau, col), 0) for tau in matrix.rows
+    )
     if observed != expected:
         raise RuntimeError(
             f"decomposition-number oracle disagrees with the length rule on {lam}"

@@ -5,9 +5,12 @@ Basis vectors are indexed by partitions with coefficients in Z[v, v^-1].
 The divided power f_i^(k) adds k addable i-nodes in one step, with the
 v-power counting addable-minus-removable i-nodes above each added node
 (Lascoux-Leclerc-Thibon).  "Above" is the side fixed by the degree-2
-anchor f_1|1> = |2> + v|1,1> at l = 2, which the tests pin.  The balanced
-v-integers and factorials are kept as the reference that f_i^(k) equals
-f_i^k divided by [k]!.
+anchor f_1|1> = |2> + v|1,1> at l = 2, which the tests pin.
+
+LaurentPoly and FockVector values are kept in normal form: no zero
+coefficient, no empty polynomial, Partition keys of one degree.  The
+public constructors validate and normalise; the arithmetic here builds
+results that are already normal and wraps them without a second pass.
 
 Canonical basis columns are produced by the usual first-approximation /
 bar-symmetric Gaussian elimination; terminal columns must be unitriangular
@@ -37,6 +40,21 @@ from .partitions import (
 from .mullineux import mullineux
 
 
+def _accumulate(out: dict[int, int], c: Mapping[int, int], shift: int, scale: int) -> None:
+    """out += scale * v^shift * c in place, deleting coefficients that cancel.
+
+    With out and c in normal form and scale nonzero, a sum can only reach
+    zero at an exponent already in out, so out stays in normal form.
+    """
+    for e, a in c.items():
+        k = e + shift
+        s = out.get(k, 0) + scale * a
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+
+
 class LaurentPoly:
     """Sparse integer Laurent polynomial in one variable v."""
 
@@ -49,6 +67,14 @@ class LaurentPoly:
                 self.c[int(e)] = self.c.get(int(e), 0) + a
                 if not self.c[int(e)]:
                     del self.c[int(e)]
+
+    @classmethod
+    def _wrap(cls, c: dict[int, int]) -> "LaurentPoly":
+        """Take ownership of a dict already in normal form (int exponents,
+        no zero coefficient) without copying or checking it."""
+        out = cls.__new__(cls)
+        out.c = c
+        return out
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -72,58 +98,32 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.c)
-        for e, a in other.c.items():
-            out[e] = out.get(e, 0) + a
-        return LaurentPoly(out)
+        _accumulate(out, other.c, 0, 1)
+        return LaurentPoly._wrap(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -a for e, a in self.c.items()})
+        return LaurentPoly._wrap({e: -a for e, a in self.c.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        out = dict(self.c)
+        _accumulate(out, other.c, 0, -1)
+        return LaurentPoly._wrap(out)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}
-        for e1, a1 in self.c.items():
-            for e2, a2 in other.c.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + a1 * a2
-        return LaurentPoly(out)
+        for e, a in self.c.items():
+            _accumulate(out, other.c, e, a)
+        return LaurentPoly._wrap(out)
 
     def bar(self) -> "LaurentPoly":
         """v -> v^-1."""
-        return LaurentPoly({-e: a for e, a in self.c.items()})
+        return LaurentPoly._wrap({-e: a for e, a in self.c.items()})
 
     def coefficient(self, e: int) -> int:
         return self.c.get(e, 0)
 
     def evaluate_one(self) -> int:
         return sum(self.c.values())
-
-    def exact_div(self, den: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; a nonzero remainder is a hard error."""
-        if not den:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return LaurentPoly()
-        num = dict(self.c)
-        dmin = min(den.c)
-        dlead = den.c[dmin]
-        limit = max(self.c) - max(den.c)
-        quot: dict[int, int] = {}
-        while num:
-            e = min(num)
-            if num[e] % dlead or e - dmin > limit:
-                raise ValueError("non-exact division")
-            f = num[e] // dlead
-            quot[e - dmin] = f
-            for de, da in den.c.items():
-                k = e - dmin + de
-                nv = num.get(k, 0) - f * da
-                if nv:
-                    num[k] = nv
-                else:
-                    num.pop(k, None)
-        return LaurentPoly(quot)
 
     def __repr__(self) -> str:
         if not self.c:
@@ -138,20 +138,6 @@ class LaurentPoly:
             else:
                 bits.append(f"{a}*v^{e}")
         return " + ".join(bits)
-
-
-def gauss_integer(k: int) -> LaurentPoly:
-    """Balanced quantum integer: v^(k-1) + v^(k-3) + ... + v^(1-k)."""
-    if k < 0:
-        raise ValueError("quantum integers need k >= 0")
-    return LaurentPoly({k - 1 - 2 * j: 1 for j in range(k)})
-
-
-def gauss_factorial(k: int) -> LaurentPoly:
-    out = LaurentPoly.one()
-    for j in range(2, k + 1):
-        out = out * gauss_integer(j)
-    return out
 
 
 class FockVector:
@@ -173,6 +159,14 @@ class FockVector:
             self.entries[lam] = poly
 
     @classmethod
+    def _wrap(cls, entries: dict[Partition, LaurentPoly]) -> "FockVector":
+        """Take ownership of a dict already in normal form (Partition keys
+        of one degree, no zero polynomial) without copying or checking it."""
+        out = cls.__new__(cls)
+        out.entries = entries
+        return out
+
+    @classmethod
     def basis(cls, lam: Partition) -> "FockVector":
         return cls({Partition(lam): LaurentPoly.one()})
 
@@ -186,14 +180,21 @@ class FockVector:
         return sorted(self.entries)
 
     def subtract_scaled(self, poly: LaurentPoly, other: "FockVector") -> "FockVector":
+        """self - poly * other."""
+        if self.entries and other.entries:
+            if next(iter(self.entries)).degree != next(iter(other.entries)).degree:
+                raise ValueError("mixed degrees in one Fock vector")
         out = dict(self.entries)
         for lam, p in other.entries.items():
-            nv = out.get(lam, LaurentPoly.zero()) - poly * p
-            if nv:
-                out[lam] = nv
-            else:
-                out.pop(lam, None)
-        return FockVector(out)
+            cur = out.get(lam)
+            acc = dict(cur.c) if cur is not None else {}
+            for e, a in poly.c.items():
+                _accumulate(acc, p.c, e, -a)
+            if acc:
+                out[lam] = LaurentPoly._wrap(acc)
+            elif cur is not None:
+                del out[lam]
+        return FockVector._wrap(out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FockVector) and self.entries == other.entries
@@ -223,7 +224,7 @@ def f_apply(i: int, k: int, x: FockVector, l: int) -> FockVector:
         raise ValueError("divided-power exponent must be positive")
     # the t-th node of S (top row first) has t nodes of S above it
     in_s_above = k * (k - 1) // 2
-    out: dict[Partition, LaurentPoly] = {}
+    out: dict[Partition, dict[int, int]] = {}
     for lam, coef in x.entries.items():
         add_rows = [B[0] for B in addable_nodes(lam) if node_residue(B, l) == i]
         rem_rows = [R[0] for R in removable_nodes(lam) if node_residue(R, l) == i]
@@ -234,13 +235,9 @@ def f_apply(i: int, k: int, x: FockVector, l: int) -> FockVector:
             for j in subset:
                 parts[add_rows[j] - 1] += 1
             mu = Partition(parts)
-            power = LaurentPoly.v(sum(weight[j] for j in subset) - in_s_above)
-            nv = out.get(mu, LaurentPoly.zero()) + coef * power
-            if nv:
-                out[mu] = nv
-            else:
-                out.pop(mu, None)
-    return FockVector(out)
+            power = sum(weight[j] for j in subset) - in_s_above
+            _accumulate(out.setdefault(mu, {}), coef.c, power, 1)
+    return FockVector._wrap({mu: LaurentPoly._wrap(c) for mu, c in out.items() if c})
 
 
 # ---------------------------------------------------------------------------

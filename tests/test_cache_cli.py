@@ -20,6 +20,7 @@ from trunksym.cache import (
 )
 from trunksym.classify import is_m_special
 from trunksym.suites import run_suite
+from trunksym import cache as cache_mod
 from trunksym import cli
 from trunksym.cli import main
 
@@ -72,6 +73,56 @@ class TestCache:
         with pytest.raises(CacheIntegrityError):
             cache_get(tmp_path, 2, 2)
 
+    def test_pretty_printed_file_rejected_and_rewritten(self, tmp_path, capsys):
+        mat = decomposition_matrix(5, 3)
+        path = cache_put(tmp_path, mat)
+        canonical = path.read_bytes()
+        path.write_text(json.dumps(json.loads(canonical), sort_keys=True, indent=2) + "\n")
+        with pytest.raises(CacheIntegrityError, match="canonical layout"):
+            cache_get(tmp_path, 3, 5)
+        assert load_or_compute(3, 5, cache_dir=tmp_path) == mat
+        assert "cache integrity" in capsys.readouterr().err
+        assert path.read_bytes() == canonical
+
+    def test_flipped_checksum_digit_rejected(self, tmp_path):
+        path = cache_put(tmp_path, decomposition_matrix(5, 3))
+        data = bytearray(path.read_bytes())
+        pos = len(b'{"checksum":"') + 10
+        data[pos] = ord("0") if data[pos] != ord("0") else ord("1")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CacheIntegrityError, match="checksum mismatch"):
+            cache_get(tmp_path, 3, 5)
+
+    def test_missing_final_newline_rejected(self, tmp_path):
+        path = cache_put(tmp_path, decomposition_matrix(5, 3))
+        data = path.read_bytes()
+        assert data.endswith(b"}\n")
+        path.write_bytes(data[:-1])
+        with pytest.raises(CacheIntegrityError, match="canonical layout"):
+            cache_get(tmp_path, 3, 5)
+
+    def test_warm_crosscheck_reads_every_matrix(self, tmp_path, capsys, monkeypatch):
+        cold = run_suite("llt-mullineux-crosscheck", cache_dir=tmp_path)
+        capsys.readouterr()
+        reads = []
+
+        def counted_get(cache_dir, l, r):
+            mat = cache_get(cache_dir, l, r)
+            reads.append(mat is not None)
+            return mat
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("warm run recomputed a matrix")
+
+        monkeypatch.setattr(cache_mod, "cache_get", counted_get)
+        monkeypatch.setattr(cache_mod, "decomposition_matrix", no_compute)
+        warm = run_suite("llt-mullineux-crosscheck", cache_dir=tmp_path)
+        assert cold.ok and warm.ok
+        assert warm.checked == cold.checked
+        assert reads and all(reads)
+        assert len(reads) == len(list(tmp_path.iterdir()))
+        assert "cache integrity" not in capsys.readouterr().err
+
     def test_load_or_compute_recovers(self, tmp_path, capsys):
         mat = decomposition_matrix(3, 2)
         path = cache_put(tmp_path, mat)
@@ -94,11 +145,14 @@ class TestCache:
             (3, 10, "79d75e8d82373d338dbbab2de185c08327a6d486007bba17a29d348a3dc46138"),
             (4, 8, "b5dfef8d33fbfc404f60405a529ad37cf357663e2bcb62dd1f24ae70cffce501"),
             (5, 8, "294456762a1064c0c07127de75a865051d4502061054b16ab4797f63f00b4aac"),
+            (2, 14, "1a6cf363c388a14ed81ecc1ca25e5bc1393665ba3770a2f51c1be5789da0adcf"),
+            (3, 14, "e2f523d5f6be3b0265c35d89f60c4d632caa1ff6842f1aec5af741b17e92f9db"),
         ],
     )
     def test_pinned_checksums(self, l, r, checksum):
         # payload checksums of the llt-v1 generator; a change here is a new generator
-        assert matrix_payload(decomposition_matrix(r, l))["checksum"] == checksum
+        mat = decomposition_matrix(r, l, allow_large=True)
+        assert matrix_payload(mat)["checksum"] == checksum
 
     def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = cache_put(tmp_path, decomposition_matrix(4, 2))

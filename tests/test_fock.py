@@ -20,8 +20,6 @@ from trunksym.fock import (
     canonical_column,
     decomposition_matrix,
     f_apply,
-    gauss_factorial,
-    gauss_integer,
     ladder_monomial,
     nabla_multiplicity,
 )
@@ -29,6 +27,51 @@ from trunksym.fock import (
 P = Partition
 one = LaurentPoly.one()
 v = LaurentPoly.v
+
+
+# Reference for f_i^(k) = f_i^k / [k]!: balanced quantum integers and
+# factorials, and exact division in Z[v, v^-1].
+
+
+def _reference_gauss_integer(k: int) -> LaurentPoly:
+    """Balanced quantum integer: v^(k-1) + v^(k-3) + ... + v^(1-k)."""
+    if k < 0:
+        raise ValueError("quantum integers need k >= 0")
+    return LaurentPoly({k - 1 - 2 * j: 1 for j in range(k)})
+
+
+def _reference_gauss_factorial(k: int) -> LaurentPoly:
+    out = LaurentPoly.one()
+    for j in range(2, k + 1):
+        out = out * _reference_gauss_integer(j)
+    return out
+
+
+def _reference_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """Exact division; a nonzero remainder is a hard error."""
+    if not den:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not num:
+        return LaurentPoly()
+    rest = dict(num.c)
+    dmin = min(den.c)
+    dlead = den.c[dmin]
+    limit = max(num.c) - max(den.c)
+    quot: dict[int, int] = {}
+    while rest:
+        e = min(rest)
+        if rest[e] % dlead or e - dmin > limit:
+            raise ValueError("non-exact division")
+        f = rest[e] // dlead
+        quot[e - dmin] = f
+        for de, da in den.c.items():
+            k = e - dmin + de
+            nv = rest.get(k, 0) - f * da
+            if nv:
+                rest[k] = nv
+            else:
+                rest.pop(k, None)
+    return LaurentPoly(quot)
 
 
 class TestLaurent:
@@ -44,17 +87,18 @@ class TestLaurent:
         assert not (a - a)
 
     def test_gauss_integers(self):
-        assert gauss_integer(2) == LaurentPoly({1: 1, -1: 1})
-        assert gauss_integer(3) == LaurentPoly({2: 1, 0: 1, -2: 1})
-        assert gauss_factorial(3) == gauss_integer(2) * gauss_integer(3)
+        gauss = _reference_gauss_integer
+        assert gauss(2) == LaurentPoly({1: 1, -1: 1})
+        assert gauss(3) == LaurentPoly({2: 1, 0: 1, -2: 1})
+        assert _reference_gauss_factorial(3) == gauss(2) * gauss(3)
 
     def test_exact_division(self):
-        num = gauss_integer(2) * gauss_integer(3)
-        assert num.exact_div(gauss_integer(3)) == gauss_integer(2)
+        gauss = _reference_gauss_integer
+        assert _reference_exact_div(gauss(2) * gauss(3), gauss(3)) == gauss(2)
         with pytest.raises(ValueError, match="non-exact"):
-            LaurentPoly({1: 1}).exact_div(LaurentPoly({0: 1, 1: 1}))
+            _reference_exact_div(LaurentPoly({1: 1}), LaurentPoly({0: 1, 1: 1}))
         with pytest.raises(ValueError, match="non-exact"):
-            LaurentPoly({0: 3}).exact_div(LaurentPoly({0: 2}))
+            _reference_exact_div(LaurentPoly({0: 3}), LaurentPoly({0: 2}))
 
 
 class TestFockVector:
@@ -65,6 +109,60 @@ class TestFockVector:
     def test_zero_entries_dropped(self):
         vec = FockVector({P((1,)): LaurentPoly()})
         assert vec.is_zero()
+
+    def test_subtract_scaled_homogeneity(self):
+        with pytest.raises(ValueError, match="mixed degrees"):
+            FockVector.basis(P((1,))).subtract_scaled(one, FockVector.basis(P((2,))))
+
+
+def _assert_normal(x):
+    """No zero coefficient, no empty polynomial, Partition keys of one degree.
+
+    Equality compares the raw dicts, so a stray zero would make equal
+    values compare unequal."""
+    if isinstance(x, LaurentPoly):
+        assert all(type(e) is int and a != 0 for e, a in x.c.items()), x.c
+        return
+    assert len({lam.degree for lam in x.entries}) <= 1
+    for lam, p in x.entries.items():
+        assert type(lam) is Partition
+        assert p, f"empty polynomial at {lam}"
+        _assert_normal(p)
+
+
+class TestNormalForm:
+    def test_cancellation_drops_terms(self):
+        a = LaurentPoly({-1: 2, 1: 3})
+        for zero in (a - a, a + (-a), (one + v(1)) * (one - v(1)) - one + v(2)):
+            assert zero.c == {}
+        assert ((one + v(1)) * (one - v(1))).c == {0: 1, 2: -1}
+        # f_1 sends v|2> and |1,1> to the same |2,1>, so they cancel
+        x = FockVector({P((2,)): v(1), P((1, 1)): -one})
+        assert f_apply(1, 1, x, 2).entries == {}
+        vec = ladder_monomial(P((2,)), 2)
+        assert vec.subtract_scaled(one, vec).entries == {}
+        assert vec.subtract_scaled(one, FockVector.basis(P((2,)))).entries == {P((1, 1)): v(1)}
+
+    def test_results_stay_normal(self):
+        for l in (2, 3, 4, 5):
+            prior = {}
+            for deg in range(9):
+                for lam in partitions_of(deg):
+                    for i in range(l):
+                        for k in (1, 2, 3):
+                            _assert_normal(f_apply(i, k, FockVector.basis(lam), l))
+                for mu in sorted(m for m in partitions_of(deg) if is_regular(m, l)):
+                    vec = ladder_monomial(mu, l)
+                    _assert_normal(vec)
+                    for i in range(l):
+                        _assert_normal(f_apply(i, 1, vec, l))
+                    for p in vec.entries.values():
+                        for q in (p + p.bar(), p - p.bar(), p * p.bar(), -p, p.bar(), p - p):
+                            _assert_normal(q)
+                    _assert_normal(vec.subtract_scaled(v(1), vec))
+                    _assert_normal(vec.subtract_scaled(one, FockVector.basis(mu)))
+                    prior[mu] = canonical_column(mu, l, prior)
+                    _assert_normal(prior[mu])
 
 
 class TestOperators:
@@ -89,8 +187,9 @@ class TestOperators:
                         cur = FockVector.basis(lam)
                         for k in range(1, 5):
                             cur = f_apply(i, 1, cur, l)
+                            fact = _reference_gauss_factorial(k)
                             expected = FockVector(
-                                {mu: p.exact_div(gauss_factorial(k)) for mu, p in cur.entries.items()}
+                                {mu: _reference_exact_div(p, fact) for mu, p in cur.entries.items()}
                             )
                             assert f_apply(i, k, FockVector.basis(lam), l) == expected
 
