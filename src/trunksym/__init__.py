@@ -81,6 +81,7 @@ from .fock import (
     FockVector,
     LaurentPoly,
     canonical_column,
+    column_matrix,
     decomposition_matrix,
     f_apply,
     ladder_monomial,

@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import weakref
 from pathlib import Path
 
 from .partitions import Partition
@@ -39,7 +40,22 @@ def _payload_checksum(payload: dict) -> str:
     return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
 
 
+# Payloads of live matrices by id, so that a cold write and the CLI's
+# stdout sort and hash one matrix once; an entry dies with its matrix.
+_PAYLOADS: dict[int, dict] = {}
+
+
 def matrix_payload(mat: DecompositionMatrix) -> dict:
+    """The canonical payload of a matrix, built once per matrix object."""
+    key = id(mat)
+    payload = _PAYLOADS.get(key)
+    if payload is None:
+        payload = _PAYLOADS[key] = _build_payload(mat)
+        weakref.finalize(mat, _PAYLOADS.pop, key, None)
+    return payload
+
+
+def _build_payload(mat: DecompositionMatrix) -> dict:
     row_index = {lam: i for i, lam in enumerate(mat.rows)}
     col_index = {mu: i for i, mu in enumerate(mat.cols)}
     entries = sorted(
@@ -163,9 +179,12 @@ def load_or_compute(
     force: bool = False,
     allow_large: bool = False,
     progress=None,
+    on_miss=None,
 ) -> DecompositionMatrix:
     """Cache-backed matrix access; rejected caches are recomputed.
 
+    With on_miss=, a miss returns on_miss() instead of the whole matrix
+    (for one column, a fock.column_matrix) and writes nothing.
     An unusable cache directory degrades to in-memory computation with a
     warning on the diagnostic stream.
     """
@@ -182,6 +201,8 @@ def load_or_compute(
             cached = None
         if cached is not None:
             return cached
+    if on_miss is not None:
+        return on_miss()
     mat = decomposition_matrix(r, l, allow_large=allow_large, progress=progress)
     if directory is not None:
         try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import comb, prod
 from typing import Iterator, Mapping
 
 from .partitions import Partition, _check_l, partitions_of
@@ -343,12 +343,23 @@ def pieri_e(lam: Partition, r: int, n: int) -> SchurExpansion:
 # power characters and the graded identity
 
 
-def _series_power(base: list[int], m: int, top: int) -> list[int]:
-    """Coefficients of x^0, ..., x^top in base(x)^m."""
-    out = [1] + [0] * top
-    for _ in range(m):
-        out = [sum(out[d - k] * c for k, c in enumerate(base[: d + 1])) for d in range(top + 1)]
-    return out
+def _series_power(width: int, m: int, top: int) -> list[int]:
+    """Coefficients of x^0, ..., x^top in (1 + x + ... + x^(width-1))^m.
+
+    Closed form c_k = sum_j (-1)^j C(m, j) C(k - j*width + m - 1, k - j*width),
+    from (1 - x^width)^m (1 - x)^(-m): at most top/width + 1 big-integer
+    terms per coefficient, whatever m is.  width > top gives the full
+    series (1 - x)^(-m).
+    """
+    if m == 0:
+        return [1] + [0] * top
+    return [
+        sum(
+            (-1) ** j * comb(m, j) * comb(k - j * width + m - 1, k - j * width)
+            for j in range(min(m, k // width) + 1)
+        )
+        for k in range(top + 1)
+    ]
 
 
 def _power_slice(series: list[int], n: int, r: int) -> MonomialChar:
@@ -387,7 +398,7 @@ def truncated_tensor_char(m: int, n: int, l: int, r: int) -> SchurExpansion:
     _check_l(l)
     if m < 0 or r < 0:
         raise ValueError("m and r must be nonnegative")
-    out = monomials_to_schur(_power_slice(_series_power([1] * l, m, r), n, r))
+    out = monomials_to_schur(_power_slice(_series_power(l, m, r), n, r))
     for lam in out.coeffs:
         if lam.part(1) > m * (l - 1):
             raise RuntimeError(
@@ -411,8 +422,8 @@ def verify_graded_free_identity(m: int, n: int, l: int, r: int) -> bool:
     _check_l(l)
     if m < 0 or r < 0:
         raise ValueError("m and r must be nonnegative")
-    full = _series_power([1] * (r + 1), m, r)
-    trunc = _series_power([1] * l, m, r)
+    full = _series_power(r + 1, m, r)
+    trunc = _series_power(l, m, r)
     rhs = MonomialChar.zero(n)
     for j in range(r // l + 1):
         hbar = _power_slice(trunc, n, r - l * j)

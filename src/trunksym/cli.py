@@ -18,8 +18,10 @@ import shlex
 import sys
 
 from . import cache as cache_mod
+from .fock import column_matrix
 from .partitions import (
     format_partition,
+    is_restricted,
     l_core,
     parse_partition,
     regularity,
@@ -109,8 +111,15 @@ def _cmd_special(args) -> int:
 def _cmd_good(args) -> int:
     lam = parse_partition(args.parts)
     oracle = None
-    if args.oracle:
-        oracle = cache_mod.load_or_compute(args.l, lam.degree, cache_dir=args.cache)
+    if args.oracle and is_restricted(lam, args.l):
+        # only restricted labels consult the oracle; without a readable
+        # cache file, build just the column the verdict reads
+        oracle = cache_mod.load_or_compute(
+            args.l,
+            lam.degree,
+            cache_dir=args.cache,
+            on_miss=lambda: column_matrix(mullineux(transpose(lam), args.l), args.l),
+        )
     verdict = is_m_good(lam, args.m, args.l, oracle=oracle)
     _dump(verdict.to_json())
     return 0

@@ -5,7 +5,10 @@ Basis vectors are indexed by partitions with coefficients in Z[v, v^-1].
 The divided power f_i^(k) adds k addable i-nodes in one step, with the
 v-power counting addable-minus-removable i-nodes above each added node
 (Lascoux-Leclerc-Thibon).  "Above" is the side fixed by the degree-2
-anchor f_1|1> = |2> + v|1,1> at l = 2, which the tests pin.
+anchor f_1|1> = |2> + v|1,1> at l = 2, which the tests pin.  One scan of
+a label's parts finds its addable and removable i-rows (the node in row
+t, column c has residue (c - t) mod l), and a new label is checked only
+at the rows that changed, each against the row above.
 
 LaurentPoly and FockVector values are kept in normal form: no zero
 coefficient, no empty polynomial, Partition keys of one degree.  The
@@ -13,13 +16,17 @@ public constructors validate and normalise; the arithmetic here builds
 results that are already normal and wraps them without a second pass.
 
 Canonical basis columns are produced by the usual first-approximation /
-bar-symmetric Gaussian elimination; terminal columns must be unitriangular
-with coefficients in v*Z>=0[v], enforced with hard errors.
+bar-symmetric Gaussian elimination, taking pivots in one lex-descending
+pass; terminal columns must be unitriangular with coefficients in
+v*Z>=0[v], enforced with hard errors.  A column's reduction needs only
+the columns of its block that lie dominance-below it, so column_matrix
+builds one column without the rest of its matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Mapping
 
@@ -27,14 +34,13 @@ from .partitions import (
     EMPTY,
     Partition,
     _check_l,
-    addable_nodes,
     cells,
     dominance_leq,
     is_regular,
     is_restricted,
+    l_core,
     node_residue,
     partitions_of,
-    removable_nodes,
     transpose,
 )
 from .mullineux import mullineux
@@ -226,16 +232,34 @@ def f_apply(i: int, k: int, x: FockVector, l: int) -> FockVector:
     in_s_above = k * (k - 1) // 2
     out: dict[Partition, dict[int, int]] = {}
     for lam, coef in x.entries.items():
-        add_rows = [B[0] for B in addable_nodes(lam) if node_residue(B, l) == i]
-        rem_rows = [R[0] for R in removable_nodes(lam) if node_residue(R, l) == i]
-        # add_rows is top row first, so j addable i-nodes lie above add_rows[j]
-        weight = [j - sum(r < row for r in rem_rows) for j, row in enumerate(add_rows)]
-        for subset in combinations(range(len(add_rows)), k):
-            parts = list(lam) + [0]
-            for j in subset:
-                parts[add_rows[j] - 1] += 1
-            mu = Partition(parts)
-            power = sum(weight[j] for j in subset) - in_s_above
+        # one scan of the parts; the node in 0-based row t, column c has
+        # residue (c - t) mod l, so row t's addable node has residue
+        # (lam_t - t) mod l and its removable node (lam_t - t - 1) mod l
+        # (row, addable minus removable i-nodes above the row)
+        addable: list[tuple[int, int]] = []
+        removable_above = 0
+        above = None
+        parts = list(lam) + [0]
+        for t, p in enumerate(lam):
+            if p != above and (p - t) % l == i:
+                addable.append((t, len(addable) - removable_above))
+            if p != parts[t + 1] and (p - t - 1) % l == i:
+                removable_above += 1
+            above = p
+        t = len(lam)
+        if (-t) % l == i:
+            addable.append((t, len(addable) - removable_above))
+        for subset in combinations(addable, k):
+            new = parts[:]
+            power = -in_s_above
+            for row, weight in subset:
+                new[row] += 1
+                if row and new[row] > new[row - 1]:
+                    raise RuntimeError(f"adding i-nodes to {lam} broke row {row + 1}")
+                power += weight
+            if not new[-1]:
+                new.pop()
+            mu = tuple.__new__(Partition, new)  # a partition by the row check
             _accumulate(out.setdefault(mu, {}), coef.c, power, 1)
     return FockVector._wrap({mu: LaurentPoly._wrap(c) for mu, c in out.items() if c})
 
@@ -283,23 +307,27 @@ def canonical_column(
     a term in degree <= 0), subtracts the unique bar-symmetric multiple of
     the prior column that clears it, and finally insists on coefficients
     in v*Z>=0[v] below a unit diagonal.
+
+    Pivots come off a max-heap in lex-descending order.  Subtracting the
+    column of nu clears nu and touches only labels dominance-below nu,
+    hence lex-below it, so a popped label never changes again and the
+    pivots are those of rescanning the whole vector every round.
     """
     mu = Partition(mu)
     vec = ladder_monomial(mu, l)
+    # within one degree, negated parts order the labels lex-descending
+    heap = [(tuple(-p for p in nu), nu) for nu in vec.entries if nu != mu]
+    heapify(heap)
+    queued = {nu for _, nu in heap}
     rounds = 0
-    while True:
+    while heap:
+        _, nu = heappop(heap)
+        c = vec.entries.get(nu)
+        if c is None or all(e > 0 for e in c.c):
+            continue
         rounds += 1
         if rounds > 100_000:
             raise RuntimeError("canonical column reduction failed to terminate")
-        defective = [
-            nu
-            for nu, p in vec.entries.items()
-            if nu != mu and any(e <= 0 for e in p.c)
-        ]
-        if not defective:
-            break
-        nu = max(defective)  # lex max is dominance-maximal among these
-        c = vec.coefficient(nu)
         dd: dict[int, int] = {}
         for e, a in c.c.items():
             if e < 0:
@@ -313,6 +341,12 @@ def canonical_column(
                 f"reduction of {mu} needs the column of {nu}, which is unavailable"
             )
         vec = vec.subtract_scaled(LaurentPoly(dd), column)
+        for lam in column.entries:
+            if lam > nu:
+                raise RuntimeError(f"column of {nu} has support lex-above it")
+            if lam not in queued:
+                queued.add(lam)
+                heappush(heap, (tuple(-p for p in lam), lam))
     if vec.coefficient(mu) != LaurentPoly.one():
         raise RuntimeError(f"canonical column of {mu} lost its unit diagonal")
     for nu, p in vec.entries.items():
@@ -332,16 +366,25 @@ def canonical_column(
 
 
 DEGREE_CAPS = {2: 10, 3: 10}
+# One column on demand: the largest degree at which a cold `good --oracle`
+# on the top column of the largest block takes under 2 s (median of five
+# runs, 2-CPU Xeon host in a slow phase).  l >= 6 takes the l = 5 cap.
+COLUMN_CAPS = {2: 23, 3: 23, 4: 25}
 
 
 def degree_cap(l: int) -> int:
     return DEGREE_CAPS.get(l, 8)
 
 
+def column_cap(l: int) -> int:
+    return COLUMN_CAPS.get(l, 29)
+
+
 @dataclass(frozen=True, eq=False)
 class DecompositionMatrix:
-    """Rows all partitions of the degree, columns the l-regular ones,
-    entries the canonical-basis coefficients at v = 1."""
+    """Rows all partitions of the degree, columns the l-regular ones (for
+    column_matrix, only those that one column needs), entries the
+    canonical-basis coefficients at v = 1."""
 
     l: int
     degree: int
@@ -372,25 +415,9 @@ class DecompositionMatrix:
         )
 
 
-def decomposition_matrix(
-    r: int, l: int, allow_large: bool = False, progress=None
-) -> DecompositionMatrix:
-    """All canonical columns of one degree, evaluated at v = 1.
-
-    Columns are produced in a dominance-compatible (lex ascending) order so
-    each reduction only needs finished columns.  Degrees above the default
-    desk-scale cap require allow_large.
-    """
-    _check_l(l)
-    if r < 0:
-        raise ValueError("degree must be nonnegative")
-    if not allow_large and r > degree_cap(l):
-        raise ValueError(
-            f"degree {r} is above the default cap {degree_cap(l)} for l={l}; "
-            "pass allow_large (CLI: --unsafe-large) to override"
-        )
-    rows = tuple(partitions_of(r))
-    cols = tuple(lam for lam in rows if is_regular(lam, l))
+def _matrix(l: int, r: int, rows, cols, progress=None) -> DecompositionMatrix:
+    """Reduce the columns cols in lex-ascending order, which is compatible
+    with dominance, so each reduction only needs finished columns."""
     prior: dict[Partition, FockVector] = {}
     entries: dict[tuple[Partition, Partition], int] = {}
     for idx, mu in enumerate(sorted(cols)):
@@ -405,15 +432,63 @@ def decomposition_matrix(
     return DecompositionMatrix(l=l, degree=r, rows=rows, cols=cols, entries=entries)
 
 
+def decomposition_matrix(
+    r: int, l: int, allow_large: bool = False, progress=None
+) -> DecompositionMatrix:
+    """All canonical columns of one degree, evaluated at v = 1.
+
+    Degrees above the default desk-scale cap require allow_large.
+    """
+    _check_l(l)
+    if r < 0:
+        raise ValueError("degree must be nonnegative")
+    if not allow_large and r > degree_cap(l):
+        raise ValueError(
+            f"degree {r} is above the default cap {degree_cap(l)} for l={l}; "
+            "pass allow_large (CLI: --unsafe-large) to override"
+        )
+    rows = tuple(partitions_of(r))
+    cols = tuple(lam for lam in rows if is_regular(lam, l))
+    return _matrix(l, r, rows, cols, progress)
+
+
+def column_matrix(mu: Partition, l: int) -> DecompositionMatrix:
+    """The canonical column of l-regular mu without the rest of its matrix.
+
+    The reduction of mu only reaches labels of its block (same l-core)
+    that lie dominance-below it, and so does the reduction of each of
+    those.  The result holds exactly these columns, built as in
+    decomposition_matrix.  Degrees above column_cap(l) are refused.
+    """
+    _check_l(l)
+    mu = Partition(mu)
+    if not is_regular(mu, l):
+        raise ValueError(f"{mu} is not l-regular")
+    r = mu.degree
+    if r > column_cap(l):
+        raise ValueError(
+            f"degree {r} is above the on-demand column cap {column_cap(l)} for l={l}; "
+            "read the matrix from a cache that decomp-matrix --unsafe-large wrote"
+        )
+    core = l_core(mu, l)
+    rows = tuple(partitions_of(r))
+    cols = tuple(
+        nu
+        for nu in rows
+        if dominance_leq(nu, mu) and is_regular(nu, l) and l_core(nu, l) == core
+    )
+    return _matrix(l, r, rows, cols)
+
+
 def nabla_multiplicity(
     tau: Partition, lam: Partition, l: int, matrix: DecompositionMatrix | None = None
 ) -> int:
     """Multiplicity of the simple labelled by restricted lam in the standard
     module labelled by tau, read off the canonical-basis matrix.
 
-    Without matrix= the whole matrix of the degree is computed on every
-    call; nothing is memoised in the process.  To reuse a matrix, pass it
-    as matrix= or read it through the disk cache (cache.load_or_compute).
+    Without matrix= only the column read is computed (column_matrix), and
+    nothing is memoised in the process.  To reuse a matrix, pass it as
+    matrix= or read it through the disk cache (cache.load_or_compute).
     """
     _check_l(l)
     tau, lam = Partition(tau), Partition(lam)
@@ -421,6 +496,7 @@ def nabla_multiplicity(
         raise ValueError("label not restricted")
     if tau.degree != lam.degree:
         raise ValueError("labels must have equal degree")
+    col = mullineux(transpose(lam), l)
     if matrix is None:
-        matrix = decomposition_matrix(lam.degree, l)
-    return matrix.entry(tau, mullineux(transpose(lam), l))
+        matrix = column_matrix(col, l)
+    return matrix.entry(tau, col)

@@ -10,6 +10,7 @@ safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
+from itertools import zip_longest
 from typing import NamedTuple
 
 Node = tuple[int, int]
@@ -89,9 +90,9 @@ def dominance_leq(lam: Partition, mu: Partition) -> bool:
     if lam.degree != mu.degree:
         raise ValueError("incomparable degrees")
     a = b = 0
-    for i in range(1, max(len(lam), len(mu)) + 1):
-        a += lam.part(i)
-        b += mu.part(i)
+    for x, y in zip_longest(lam, mu, fillvalue=0):
+        a += x
+        b += y
         if a > b:
             return False
     return True

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from trunksym.partitions import Partition
-from trunksym.fock import decomposition_matrix
+from trunksym.fock import column_cap, decomposition_matrix
 from trunksym.cache import (
     CacheIntegrityError,
     cache_get,
@@ -147,6 +147,13 @@ class TestCache:
             (5, 8, "294456762a1064c0c07127de75a865051d4502061054b16ab4797f63f00b4aac"),
             (2, 14, "1a6cf363c388a14ed81ecc1ca25e5bc1393665ba3770a2f51c1be5789da0adcf"),
             (3, 14, "e2f523d5f6be3b0265c35d89f60c4d632caa1ff6842f1aec5af741b17e92f9db"),
+            (2, 16, "952ca8065e394fb99acce7f58acf4adcdb50b67b4e9020426b3f45638a44dc19"),
+            (3, 16, "3b4eab6febb69e0d8b11727a3c817473e011692ea872334318178149a5054644"),
+            (4, 14, "a75e4f4c3e6b469ade623b1485d46e511d947710fe963e051e67fa66825d3bea"),
+            (4, 16, "9f20edbc50767652d96879e347f0b2633d486b7508425a2fe7d3f2e09c1da3c2"),
+            (5, 16, "10ff13b02492edd11c74c435229aa47d7ce478521136722afd0b8b594e102c48"),
+            (4, 18, "3cdde41e178228ca4690d0c862aab83b7d72fc5c6db094d4f4b7d7411665425e"),
+            (5, 18, "b49c231269d7f02a03c2d30d2543f409d6309cf316c5178ef20026f11b1efdfc"),
         ],
     )
     def test_pinned_checksums(self, l, r, checksum):
@@ -173,6 +180,13 @@ class TestCache:
 
     def test_path_layout(self, tmp_path):
         assert cache_path(tmp_path, 3, 7).name == "decomp-l3-r7.json"
+
+    def test_on_miss_writes_nothing(self, tmp_path):
+        assert load_or_compute(3, 6, cache_dir=tmp_path, on_miss=lambda: "built") == "built"
+        assert list(tmp_path.iterdir()) == []
+        mat = decomposition_matrix(6, 3)
+        cache_put(tmp_path, mat)
+        assert load_or_compute(3, 6, cache_dir=tmp_path, on_miss=lambda: "built") == mat
 
     def test_env_var_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TRUNKSYM_CACHE_DIR", str(tmp_path))
@@ -255,6 +269,28 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] in ("yes", "no")
 
+    def test_good_oracle_cold_reads_one_column(self, capsys, tmp_path, monkeypatch):
+        argv = ["good", "4,3,2,1", "--l", "3", "--m", "2", "--oracle", "--cache", str(tmp_path)]
+        monkeypatch.setattr(cache_mod, "decomposition_matrix", None)
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        cache_put(tmp_path, decomposition_matrix(10, 3))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold.out
+        assert json.loads(cold.out)["status"] in ("yes", "no")
+
+    def test_good_oracle_cap(self, capsys, tmp_path):
+        cap = column_cap(2)
+        label = ",".join(["1"] * (cap + 1))
+        argv = ["good", label, "--l", "2", "--m", "1", "--oracle", "--cache", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cap {cap} for l=2" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_enumerate_special(self, capsys):
         assert main(["enumerate-special", "--l", "3", "--m", "1", "--degree", "5"]) == 0
         assert capsys.readouterr().out.strip() == "2,2,1"
@@ -282,6 +318,23 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, load_schema("matrix-cache.schema.json"))
         assert cache_path(tmp_path, 2, 2).exists()
+
+    def test_decomp_matrix_cold_write_builds_payload_once(self, capsys, tmp_path, monkeypatch):
+        builds = []
+        build = cache_mod._build_payload
+
+        def counted(mat):
+            builds.append(mat)
+            return build(mat)
+
+        monkeypatch.setattr(cache_mod, "_build_payload", counted)
+        argv = ["decomp-matrix", "--l", "3", "--degree", "6", "--cache", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(builds) == 1
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads(cache_path(tmp_path, 3, 6).read_bytes())
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == printed
 
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         def broken(lam, m, l):

@@ -82,6 +82,14 @@ def _reference_graded_power(slices: list[MonomialChar], m: int, n: int) -> list[
     return cur
 
 
+def _reference_series_power(base: list[int], m: int, top: int) -> list[int]:
+    """Coefficients of x^0, ..., x^top in base(x)^m, by m convolution rounds."""
+    out = [1] + [0] * top
+    for _ in range(m):
+        out = [sum(out[d - k] * c for k, c in enumerate(base[: d + 1])) for d in range(top + 1)]
+    return out
+
+
 def _reference_power_chars(top, n, max_part=None):
     """Degree 0..top slices with every monomial (exponents <= max_part) once."""
     return [
@@ -263,18 +271,37 @@ class TestSeriesSlices:
     TOP = 10
 
     def test_series_power(self):
-        assert _series_power([1, 1], 3, 5) == [1, 3, 3, 1, 0, 0]
-        assert _series_power([1, 1, 1], 2, 3) == [1, 2, 3, 2]
-        assert _series_power([1, 1], 0, 2) == [1, 0, 0]
+        assert _series_power(2, 3, 5) == [1, 3, 3, 1, 0, 0]
+        assert _series_power(3, 2, 3) == [1, 2, 3, 2]
+        assert _series_power(2, 0, 2) == [1, 0, 0]
+
+    def test_closed_form_matches_convolution(self):
+        for top in range(14):
+            for m in range(8):
+                for width in (2, 3, 4, 5, 6, top + 1):
+                    expected = _reference_series_power([1] * width, m, top)
+                    assert _series_power(width, m, top) == expected, (width, m, top)
+
+    def test_cost_independent_of_m(self):
+        from math import comb
+
+        m = 10**8
+        assert _series_power(2, m, 4) == [comb(m, k) for k in range(5)]
+        expected = {
+            P((4,)): comb(m, 4),
+            P((3, 1)): m * comb(m, 3) - comb(m, 4),
+            P((2, 2)): comb(m, 2) ** 2 - m * comb(m, 3),
+        }
+        assert truncated_tensor_char(m, 2, 2, 4).coeffs == expected
 
     def test_power_slice_matches_orbit_products(self):
         for n in range(1, 5):
-            bases = {"full": ([1] * (self.TOP + 1), _reference_power_chars(self.TOP, n))}
+            bases = {"full": (self.TOP + 1, _reference_power_chars(self.TOP, n))}
             for l in (2, 3, 4):
-                bases[l] = ([1] * l, _reference_power_chars(self.TOP, n, l - 1))
-            for name, (base, slices) in bases.items():
+                bases[l] = (l, _reference_power_chars(self.TOP, n, l - 1))
+            for name, (width, slices) in bases.items():
                 for m in range(4):
-                    series = _series_power(base, m, self.TOP)
+                    series = _series_power(width, m, self.TOP)
                     reference = _reference_graded_power(slices, m, n)
                     for r in range(self.TOP + 1):
                         assert _power_slice(series, n, r) == reference[r], (name, m, n, r)

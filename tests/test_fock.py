@@ -1,23 +1,31 @@
 """The Fock-space oracle: operators, canonical columns, matrices."""
 
+from itertools import combinations
+
 import pytest
 
 from trunksym.partitions import (
     EMPTY,
     Partition,
+    addable_nodes,
     dominance_leq,
     is_regular,
     is_restricted,
     l_core,
+    node_residue,
     partitions_of,
+    removable_nodes,
     transpose,
 )
+from trunksym import fock
 from trunksym.mullineux import mullineux, mullineux_length
 from trunksym.fock import (
     DecompositionMatrix,
     FockVector,
     LaurentPoly,
     canonical_column,
+    column_cap,
+    column_matrix,
     decomposition_matrix,
     f_apply,
     ladder_monomial,
@@ -72,6 +80,47 @@ def _reference_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
             else:
                 rest.pop(k, None)
     return LaurentPoly(quot)
+
+
+# Reference kernel: divided powers from node tuples with every new label
+# validated, and a reduction that rescans the whole vector every round.
+
+
+def _reference_f_apply(i: int, k: int, x: FockVector, l: int) -> FockVector:
+    in_s_above = k * (k - 1) // 2
+    out: dict[Partition, LaurentPoly] = {}
+    for lam, coef in x.entries.items():
+        add_rows = [B[0] for B in addable_nodes(lam) if node_residue(B, l) == i]
+        rem_rows = [R[0] for R in removable_nodes(lam) if node_residue(R, l) == i]
+        weight = [j - sum(r < row for r in rem_rows) for j, row in enumerate(add_rows)]
+        for subset in combinations(range(len(add_rows)), k):
+            parts = list(lam) + [0]
+            for j in subset:
+                parts[add_rows[j] - 1] += 1
+            mu = Partition(parts)
+            power = sum(weight[j] for j in subset) - in_s_above
+            out[mu] = out.get(mu, LaurentPoly()) + coef * v(power)
+    return FockVector(out)
+
+
+def _reference_canonical_column(mu, l, prior):
+    vec = ladder_monomial(mu, l)
+    while True:
+        defective = [
+            nu for nu, p in vec.entries.items() if nu != mu and any(e <= 0 for e in p.c)
+        ]
+        if not defective:
+            return vec
+        nu = max(defective)
+        c = vec.coefficient(nu)
+        dd: dict[int, int] = {}
+        for e, a in c.c.items():
+            if e < 0:
+                dd[e] = dd.get(e, 0) + a
+                dd[-e] = dd.get(-e, 0) + a
+            elif e == 0:
+                dd[0] = dd.get(0, 0) + a
+        vec = vec.subtract_scaled(LaurentPoly(dd), prior[nu])
 
 
 class TestLaurent:
@@ -356,3 +405,107 @@ class TestNablaMultiplicity:
                     col = mullineux(transpose(lam), l)
                     shorter = any(len(tau) < m for tau in mat.column_support(col))
                     assert shorter == (len(l_core(lam, l)) < m)
+
+
+class TestReferenceKernel:
+    """The one-pass kernel against the node-tuple, rescanning reference."""
+
+    def test_f_apply_matches_reference(self):
+        points = 0
+        for l in (2, 3, 4, 5):
+            for deg in range(11):
+                for lam in partitions_of(deg):
+                    x = FockVector({lam: v(-1) + LaurentPoly({2: 3})})
+                    for i in range(l):
+                        for k in range(1, 5):
+                            got = f_apply(i, k, x, l)
+                            assert got == _reference_f_apply(i, k, x, l), (l, lam, i, k)
+                            _assert_normal(got)
+                            points += 1
+        assert points == 7784
+
+    def test_canonical_column_matches_reference(self, monkeypatch):
+        calls = [0]
+        subtract = FockVector.subtract_scaled
+
+        def counted(self, poly, other):
+            calls[0] += 1
+            return subtract(self, poly, other)
+
+        monkeypatch.setattr(FockVector, "subtract_scaled", counted)
+        for l in (2, 3, 4, 5):
+            for deg in range(13):
+                prior = {}
+                for mu in sorted(m for m in partitions_of(deg) if is_regular(m, l)):
+                    calls[0] = 0
+                    expected = _reference_canonical_column(mu, l, prior)
+                    reference_calls = calls[0]
+                    calls[0] = 0
+                    prior[mu] = canonical_column(mu, l, prior)
+                    assert prior[mu] == expected, (l, mu)
+                    assert calls[0] == reference_calls, (l, mu)
+
+    def test_label_new_to_the_vector_is_still_a_pivot(self):
+        # (2,1,1,1) is not in the ladder monomial of (5); the synthetic
+        # column of the pivot (3,2) brings it in with a degree-0 term
+        prior = {
+            P((3, 2)): FockVector(
+                {P((3, 2)): one, P((3, 1, 1)): v(1), P((2, 2, 1)): v(2), P((2, 1, 1, 1)): one}
+            ),
+            P((2, 1, 1, 1)): FockVector.basis(P((2, 1, 1, 1))),
+        }
+        expected = _reference_canonical_column(P((5,)), 2, prior)
+        assert P((2, 1, 1, 1)) not in expected.entries
+        assert canonical_column(P((5,)), 2, prior) == expected
+
+    def test_prior_column_above_its_label_is_an_error(self):
+        # the ladder monomial of (5) at l = 2 has the pivot (3,2)
+        bad = {P((3, 2)): FockVector({P((3, 2)): one, P((4, 1)): v(1)})}
+        with pytest.raises(RuntimeError, match="lex-above"):
+            canonical_column(P((5,)), 2, bad)
+
+    def test_column_matrix_matches_matrix(self):
+        for l in (2, 3, 4, 5):
+            for deg in range(13):
+                mat = decomposition_matrix(deg, l, allow_large=True)
+                for mu in mat.cols:
+                    one = column_matrix(mu, l)
+                    assert one.rows == mat.rows
+                    assert set(one.cols) <= set(mat.cols)
+                    assert one.column_support(mu) == mat.column_support(mu)
+                    for lam in one.column_support(mu):
+                        assert one.entry(lam, mu) == mat.entry(lam, mu)
+
+    def test_column_matrix_builds_only_its_block_below(self):
+        mu = P((6, 3, 1))
+        one = column_matrix(mu, 3)
+        assert mu in one.cols
+        for nu in one.cols:
+            assert dominance_leq(nu, mu) and is_regular(nu, 3)
+            assert l_core(nu, 3) == l_core(mu, 3)
+        assert len(one.cols) < len(decomposition_matrix(10, 3).cols)
+
+    def test_column_matrix_preconditions(self):
+        with pytest.raises(ValueError, match="not l-regular"):
+            column_matrix(P((1, 1)), 2)
+        top = column_cap(2) + 1
+        with pytest.raises(ValueError, match=f"cap {column_cap(2)}"):
+            column_matrix(P((top,)), 2)
+        assert column_cap(5) == column_cap(7)
+
+    def test_nabla_multiplicity_builds_one_column(self, monkeypatch):
+        expected = {}
+        for l in (2, 3):
+            for deg in range(9):
+                mat = decomposition_matrix(deg, l)
+                for lam in partitions_of(deg):
+                    if is_restricted(lam, l):
+                        for tau in mat.rows:
+                            expected[(tau, lam, l)] = nabla_multiplicity(tau, lam, l, matrix=mat)
+
+        def whole_matrix(*args, **kwargs):
+            raise AssertionError("built a whole matrix for one column")
+
+        monkeypatch.setattr(fock, "decomposition_matrix", whole_matrix)
+        for (tau, lam, l), value in expected.items():
+            assert nabla_multiplicity(tau, lam, l) == value
