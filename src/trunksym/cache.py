@@ -7,8 +7,10 @@ payload without the checksum member.  That member sorts first, so the
 reader verifies the checksum over the file's own bytes with the member
 cut out, without encoding the payload again; a file in any other layout
 (pretty-printed, reordered, no final newline) fails that check.  Anything
-that fails the layout, checksum, parsing, schema shape or header match is
-rejected with CacheIntegrityError and recomputed, never silently trusted.
+that fails the layout, checksum, parsing, schema shape, label checks (every
+label of the header degree, every column label a row label), entry index
+range or header match is rejected with CacheIntegrityError and recomputed,
+never silently trusted.
 """
 
 from __future__ import annotations
@@ -84,16 +86,25 @@ def matrix_from_payload(payload) -> DecompositionMatrix:
             f"cache integrity: generator {payload['generator']!r} != {CACHE_GENERATOR!r}"
         )
     try:
+        degree = int(payload["degree"])
         rows = tuple(Partition(p) for p in payload["rows"])
-        cols = tuple(Partition(p) for p in payload["cols"])
+        if set(map(sum, rows)) - {degree}:
+            raise ValueError(f"a row label does not have degree {degree}")
+        # every column label is a row label; look it up instead of validating it again
+        row_labels = dict(zip(rows, rows))
+        cols = tuple(row_labels.get(tuple(p)) for p in payload["cols"])
+        if None in cols:
+            raise ValueError("a column label is not a row label")
         entries = {}
         for ri, ci, val in payload["entries"]:
+            if not (0 <= ri < len(rows) and 0 <= ci < len(cols)):
+                raise ValueError(f"entry index out of range {[ri, ci]!r}")
             if not isinstance(val, int) or val <= 0:
                 raise ValueError(f"bad entry value {val!r}")
             entries[(rows[ri], cols[ci])] = val
         mat = DecompositionMatrix(
             l=int(payload["l"]),
-            degree=int(payload["degree"]),
+            degree=degree,
             rows=rows,
             cols=cols,
             entries=entries,

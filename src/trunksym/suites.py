@@ -5,7 +5,9 @@ Each suite walks an exhaustive parameter grid and records failures as
 (input, expected, actual) witnesses.  Iteration orders are fixed and the
 one randomized suite (core removal order) draws from a seeded generator,
 so reports are reproducible; the elapsed field is the only wall-clock
-content.
+content.  The suites' own oracle memos (the exhaustive special search,
+the reciprocity decision table) live for one suite run and one l, so a
+report's cost does not depend on what ran earlier in the process.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import cache as cache_mod
 from .partitions import (
@@ -46,7 +47,6 @@ from .mullineux import (
     remove_l_edge,
 )
 from .classify import (
-    _fits_under,
     _special_bool,
     _subtract,
     distinguished_decomposition,
@@ -104,28 +104,54 @@ class _Run:
 
 
 def _sub_partitions(lam: Partition) -> list[Partition]:
-    """All eta with lam - eta entrywise a partition (eta = 0 included)."""
-    out = []
-    for d in range(lam.degree + 1):
-        for eta in partitions_of(d, max_len=len(lam) or None, max_part=lam.part(1) or None):
-            if d and not _fits_under(lam, eta):
-                continue
-            out.append(eta)
-    return out
+    """All eta with lam - eta a partition (eta = 0 included), built row by
+    row: max(0, lam_i - (lam_(i-1) - eta_(i-1))) <= eta_i <= min(eta_(i-1), lam_i)."""
+    rows: list[tuple[int, ...]] = [()]
+    for i, part in enumerate(lam):
+        grown = []
+        for eta in rows:
+            if i:
+                low = max(0, part - (lam[i - 1] - eta[-1]))
+                high = min(eta[-1], part)
+            else:
+                low, high = 0, part
+            grown.extend(eta + (e,) for e in range(low, high + 1))
+        rows = grown
+    return [Partition(eta) for eta in rows]
 
 
-@lru_cache(maxsize=None)
-def _brute_force_special(lam: Partition, m: int, l: int) -> bool:
-    """Plain recursive search over all distinguished-summand splittings."""
+class _SearchMemo:
+    """What `_brute_force_special` has learnt at one l; one suite run owns it."""
+
+    def __init__(self) -> None:
+        self.admissible: dict[Partition, tuple[int, ...]] = {}
+        self.decided: dict[tuple[Partition, int], bool] = {}
+
+
+def _brute_force_special(lam: Partition, m: int, l: int, memo: _SearchMemo) -> bool:
+    """Plain recursive search over all distinguished-summand splittings.
+
+    Each sub-partition eta is tried with every q <= m for which it is
+    q-distinguished; memo must belong to this l."""
     if m == 0:
         return lam.degree == 0
-    for q in range(1, min(l - 1, m) + 1):
+    found = memo.decided.get((lam, m))
+    if found is None:
+        found = False
         for eta in _sub_partitions(lam):
-            if not is_distinguished(eta, q, l):
-                continue
-            if _brute_force_special(_subtract(lam, eta), m - q, l):
-                return True
-    return False
+            qs = memo.admissible.get(eta)
+            if qs is None:
+                qs = memo.admissible[eta] = tuple(
+                    q for q in range(1, l) if is_distinguished(eta, q, l)
+                )
+            qs = [q for q in qs if q <= m]
+            if qs:
+                rest = _subtract(lam, eta)
+                if any(_brute_force_special(rest, m - q, l, memo) for q in qs):
+                    found = True
+                    break
+        memo.decided[(lam, m)] = found
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +236,18 @@ def _suite_phi_bijection(run: _Run, max_l, max_degree) -> None:
 
 def _suite_special_decomposition(run: _Run, ls, max_m, max_degree) -> None:
     for l in ls:
+        memo = _SearchMemo()
         for deg in range(max_degree + 1):
             for lam in partitions_of(deg):
                 for m in range(1, max_m + 1):
                     verdict = is_m_special(lam, m, l)
-                    brute = _brute_force_special(lam, m, l)
-                    witness = distinguished_decomposition(lam, m, l)
+                    brute = _brute_force_special(lam, m, l, memo)
+                    # is_m_special built its witness with this same deterministic call
+                    witness = (
+                        verdict.witness
+                        if verdict.special
+                        else distinguished_decomposition(lam, m, l)
+                    )
                     ok = verdict.special == brute == (witness is not None)
                     run.check(
                         ok,
@@ -257,12 +289,32 @@ def _suite_oracle_mull_length(run: _Run, ls, max_degree, cache_dir) -> None:
                     )
 
 
+def _special_table(l: int):
+    """`_special_bool` at one l, deciding each (lam, m) once while the table lives."""
+    table: dict[tuple[Partition, int], bool] = {}
+
+    def special(lam: Partition, m: int) -> bool:
+        found = table.get((lam, m))
+        if found is None:
+            found = table[(lam, m)] = _special_bool(lam, m, l)
+        return found
+
+    return special
+
+
 def _suite_reciprocity_removal(run: _Run, ls, max_m, max_degree) -> None:
+    labels = [list(partitions_of(deg)) for deg in range(max_degree + 1)]
     for l in ls:
+        special = _special_table(l)
+        specials = {
+            (deg, m): [lam for lam in labels[deg] if special(lam, m)]
+            for deg in range(max_degree + 1)
+            for m in range(max_m + 1)
+        }
         for m in range(1, max_m + 1):
             for deg in range(max_degree + 1):
-                for lam in partitions_of(deg):
-                    special = _special_bool(lam, m, l)
+                for lam in labels[deg]:
+                    is_special = special(lam, m)
                     # reflection inside the box
                     if lam.part(1) <= m * (l - 1):
                         for n in (len(lam), len(lam) + 1):
@@ -270,28 +322,28 @@ def _suite_reciprocity_removal(run: _Run, ls, max_m, max_degree) -> None:
                                 continue
                             mirrored = dagger(lam, m, l, n)
                             run.check(
-                                _special_bool(mirrored, m, l) == special,
+                                special(mirrored, m) == is_special,
                                 (l, m, lam, n),
-                                special,
-                                _special_bool(mirrored, m, l),
+                                is_special,
+                                special(mirrored, m),
                             )
                     # full first row forces tail equivalence
                     if lam.part(1) == m * (l - 1):
                         tail = Partition(lam[1:])
                         run.check(
-                            _special_bool(tail, m, l) == special,
+                            special(tail, m) == is_special,
                             (l, m, lam),
-                            special,
-                            _special_bool(tail, m, l),
+                            is_special,
+                            special(tail, m),
                         )
-                    if not special:
+                    if not is_special:
                         continue
                     # row removal
                     if lam:
                         first_rows = Partition(lam[:-1])
                         last_rows = Partition(lam[1:])
                         run.check(
-                            _special_bool(first_rows, m, l) and _special_bool(last_rows, m, l),
+                            special(first_rows, m) and special(last_rows, m),
                             (l, m, lam),
                             "row removals stay special",
                             (first_rows, last_rows),
@@ -300,7 +352,7 @@ def _suite_reciprocity_removal(run: _Run, ls, max_m, max_degree) -> None:
                     for node in node_sets(lam, l).suitable:
                         trimmed = remove_node(lam, node)
                         run.check(
-                            _special_bool(trimmed, m, l),
+                            special(trimmed, m),
                             (l, m, lam, node),
                             "suitable-node removal stays special",
                             trimmed,
@@ -310,14 +362,10 @@ def _suite_reciprocity_removal(run: _Run, ls, max_m, max_degree) -> None:
                 m2 = m - m1
                 for d1 in range(max_degree + 1):
                     for d2 in range(max_degree + 1 - d1):
-                        for lam in partitions_of(d1):
-                            if not _special_bool(lam, m1, l):
-                                continue
-                            for mu in partitions_of(d2):
-                                if not _special_bool(mu, m2, l):
-                                    continue
+                        for lam in specials[(d1, m1)]:
+                            for mu in specials[(d2, m2)]:
                                 run.check(
-                                    _special_bool(add(lam, mu), m, l),
+                                    special(add(lam, mu), m),
                                     (l, m1, m2, lam, mu),
                                     "sum is special",
                                     add(lam, mu),

@@ -16,6 +16,7 @@ from trunksym.cache import (
     cache_put,
     canonical_json,
     load_or_compute,
+    matrix_from_payload,
     matrix_payload,
 )
 from trunksym.classify import is_m_special
@@ -192,6 +193,70 @@ class TestCache:
         monkeypatch.setenv("TRUNKSYM_CACHE_DIR", str(tmp_path))
         load_or_compute(2, 3)
         assert cache_path(tmp_path, 2, 3).exists()
+
+
+def hand_payload(**changes):
+    """The l=2, degree-3 matrix written out by hand, with members replaced."""
+    payload = {
+        "generator": "llt-v1",
+        "l": 2,
+        "degree": 3,
+        "rows": [[3], [2, 1], [1, 1, 1]],
+        "cols": [[3], [2, 1]],
+        "entries": [[0, 0, 1], [1, 1, 1], [2, 0, 1]],
+        "checksum": "0" * 64,
+    }
+    payload.update(changes)
+    return payload
+
+
+class TestPayloadValidation:
+    def test_hand_payload_reads_as_the_matrix(self):
+        mat = matrix_from_payload(hand_payload())
+        assert mat == decomposition_matrix(3, 2)
+        # column labels are the row labels' own objects, validated once
+        assert all(any(mu is lam for lam in mat.rows) for mu in mat.cols)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[0, 0, 1], [1, 1, 1], [2, 0, 1], [-1, 0, 7]],
+            [[0, 0, 1], [1, 1, 1], [2, -1, 1]],
+            [[0, 0, 1], [1, 1, 1], [3, 0, 1]],
+            [[0, 0, 1], [1, 1, 1], [2, 2, 1]],
+        ],
+        ids=["negative-row", "negative-col", "row-past-end", "col-past-end"],
+    )
+    def test_entry_index_out_of_range_rejected(self, entries):
+        with pytest.raises(CacheIntegrityError, match="entry index out of range"):
+            matrix_from_payload(hand_payload(entries=entries))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[3], [2, 1], [1, 1]], [[4], [2, 1], [1, 1, 1]]],
+        ids=["short-row", "long-row"],
+    )
+    def test_row_label_of_another_degree_rejected(self, rows):
+        with pytest.raises(CacheIntegrityError, match="does not have degree 3"):
+            matrix_from_payload(hand_payload(rows=rows))
+
+    def test_column_label_not_a_row_label_rejected(self):
+        with pytest.raises(CacheIntegrityError, match="not a row label"):
+            matrix_from_payload(hand_payload(cols=[[3], [2, 2]]))
+
+    def test_malformed_column_label_rejected(self):
+        with pytest.raises(CacheIntegrityError, match="malformed payload"):
+            matrix_from_payload(hand_payload(cols=[[3], 21]))
+
+    def test_rejected_file_is_recomputed(self, tmp_path, capsys):
+        payload = hand_payload(entries=[[0, 0, 1], [1, 1, 1], [2, 0, 1], [-1, 0, 7]])
+        payload["checksum"] = cache_mod._payload_checksum(payload)
+        path = cache_path(tmp_path, 2, 3)
+        path.write_text(canonical_json(payload) + "\n")
+        with pytest.raises(CacheIntegrityError, match="entry index out of range"):
+            cache_get(tmp_path, 2, 3)
+        assert load_or_compute(2, 3, cache_dir=tmp_path) == decomposition_matrix(3, 2)
+        assert "entry index out of range" in capsys.readouterr().err
 
 
 class TestReports:

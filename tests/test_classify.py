@@ -27,6 +27,7 @@ from trunksym.classify import (
     restricted_part_mull_length,
     witness_is_valid,
 )
+from trunksym.suites import _brute_force_special, _SearchMemo, _sub_partitions
 
 P = Partition
 
@@ -57,6 +58,31 @@ def oracle_special(lam, m, l):
                 if oracle_special(rest, m - q, l):
                     return True
     return False
+
+
+class TestSuiteOracle:
+    """The special-decomposition suite's search against the plain references above."""
+
+    def test_sub_partitions_match_box_generate_and_test(self):
+        for deg in range(13):
+            for lam in partitions_of(deg):
+                box = [
+                    eta
+                    for d in range(deg + 1)
+                    for eta in partitions_of(d, max_len=len(lam) or None, max_part=lam.part(1) or None)
+                    if not d or fits_under(lam, eta)
+                ]
+                built = _sub_partitions(lam)
+                assert len(set(built)) == len(built)
+                assert sorted(built) == sorted(box)
+
+    def test_brute_force_matches_oracle(self):
+        for l in (2, 3, 5):
+            memo = _SearchMemo()
+            for deg in range(11):
+                for lam in partitions_of(deg):
+                    for m in range(1, 5):
+                        assert _brute_force_special(lam, m, l, memo) == oracle_special(lam, m, l), (l, m, lam)
 
 
 class TestDistinguished:
