@@ -8,9 +8,9 @@ reader verifies the checksum over the file's own bytes with the member
 cut out, without encoding the payload again; a file in any other layout
 (pretty-printed, reordered, no final newline) fails that check.  Anything
 that fails the layout, checksum, parsing, schema shape, label checks (every
-label of the header degree, every column label a row label), entry index
-range or header match is rejected with CacheIntegrityError and recomputed,
-never silently trusted.
+row label a weakly decreasing list of positive ints of the header degree,
+every column label a row label), entry index range or header match is
+rejected with CacheIntegrityError and recomputed, never silently trusted.
 """
 
 from __future__ import annotations
@@ -87,9 +87,19 @@ def matrix_from_payload(payload) -> DecompositionMatrix:
         )
     try:
         degree = int(payload["degree"])
-        rows = tuple(Partition(p) for p in payload["rows"])
-        if set(map(sum, rows)) - {degree}:
-            raise ValueError(f"a row label does not have degree {degree}")
+        rows = []
+        for p in payload["rows"]:
+            # one pass: plain positive ints, weakly decreasing, summing to degree
+            total, prev = 0, None
+            for part in p:
+                if type(part) is not int or part <= 0 or (prev is not None and part > prev):
+                    raise ValueError(f"bad row label {p!r}")
+                total += part
+                prev = part
+            if total != degree:
+                raise ValueError(f"a row label does not have degree {degree}")
+            rows.append(tuple.__new__(Partition, p))  # a partition by the checks above
+        rows = tuple(rows)
         # every column label is a row label; look it up instead of validating it again
         row_labels = dict(zip(rows, rows))
         cols = tuple(row_labels.get(tuple(p)) for p in payload["cols"])

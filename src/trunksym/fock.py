@@ -15,12 +15,19 @@ coefficient, no empty polynomial, Partition keys of one degree.  The
 public constructors validate and normalise; the arithmetic here builds
 results that are already normal and wraps them without a second pass.
 
-Canonical basis columns are produced by the usual first-approximation /
-bar-symmetric Gaussian elimination, taking pivots in one lex-descending
-pass; terminal columns must be unitriangular with coefficients in
-v*Z>=0[v], enforced with hard errors.  A column's reduction needs only
-the columns of its block that lie dominance-below it, so column_matrix
-builds one column without the rest of its matrix.
+Canonical basis columns are built by induction on degree.  The column
+G(mu) of l-regular mu starts from f_i^(n) G(mu-), where mu- is mu without
+its n top-ladder nodes, all of residue i.  That vector is bar-invariant,
+and a hard check requires it to be unitriangular (coefficient one on mu,
+support otherwise dominance-below mu), as the ladder monomial
+f_i^(n) A(mu-) is (Lascoux-Leclerc-Thibon, Comm. Math. Phys. 181 (1996)).
+Bar-symmetric Gaussian elimination, taking pivots in one lex-descending
+pass, then clears its defective coefficients; the start vector is often
+canonical already.  Terminal columns must be unitriangular with
+coefficients in v*Z>=0[v], enforced with hard errors.  A ColumnTable,
+owned by one decomposition_matrix or column_matrix call, builds G(mu-)
+and each pivot's column on first lookup, so column_matrix builds only
+the columns its one column reads.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from .partitions import (
     dominance_leq,
     is_regular,
     is_restricted,
-    l_core,
     node_residue,
     partitions_of,
     transpose,
@@ -277,7 +283,9 @@ def ladder_monomial(mu: Partition, l: int) -> FockVector:
     """Divided-power product over the ladders of mu, applied to vacuum.
 
     The result must be unitriangular: coefficient one on mu, support
-    otherwise strictly dominance-below mu.
+    otherwise strictly dominance-below mu.  This is the classical first
+    approximation; canonical_column starts from f_i^(n) G(mu-) instead,
+    and the tests reduce this one as the reference.
     """
     _check_l(l)
     mu = Partition(mu)
@@ -298,25 +306,63 @@ def ladder_monomial(mu: Partition, l: int) -> FockVector:
     return vec
 
 
+def _top_ladder(mu: Partition, l: int) -> tuple[Partition, int, int]:
+    """mu without its top-ladder nodes, with their residue and number.
+
+    A node on the highest ladder L of mu ends its row (the next node would
+    lie on ladder L + l - 1) and its column (ladder L + 1), so these are
+    removable nodes, one per row, all of residue (1 - L) mod l.
+    """
+    ladders = [t + 1 + (l - 1) * (p - 1) for t, p in enumerate(mu)]
+    top = max(ladders)
+    parts = [p - (d == top) for p, d in zip(mu, ladders)]
+    if not parts[-1]:
+        parts.pop()  # only the last row can be a single top-ladder node
+    below = tuple.__new__(Partition, parts)  # removable nodes taken off
+    return below, (1 - top) % l, ladders.count(top)
+
+
 def canonical_column(
-    mu: Partition, l: int, prior: Mapping[Partition, FockVector]
+    mu: Partition, l: int, columns: Mapping[Partition, FockVector]
 ) -> FockVector:
-    """Bar-symmetric Gaussian elimination of the ladder monomial.
+    """Bar-symmetric Gaussian elimination of f_i^(n) G(mu-).
+
+    mu- is mu without its n top-ladder nodes, all of residue i.  The start
+    vector f_i^(n) G(mu-) is bar-invariant, and it must be unitriangular:
+    coefficient one on mu, support otherwise strictly dominance-below mu.
+    columns supplies G(mu-) and the pivots' columns on lookup (a
+    ColumnTable builds them on demand).
 
     Repeatedly picks the dominance-maximal defective coefficient (one with
     a term in degree <= 0), subtracts the unique bar-symmetric multiple of
-    the prior column that clears it, and finally insists on coefficients
-    in v*Z>=0[v] below a unit diagonal.
+    that label's column that clears it, and finally insists on
+    coefficients in v*Z>=0[v] below a unit diagonal.
 
     Pivots come off a max-heap in lex-descending order.  Subtracting the
     column of nu clears nu and touches only labels dominance-below nu,
     hence lex-below it, so a popped label never changes again and the
-    pivots are those of rescanning the whole vector every round.
+    pivots are those of rescanning the whole vector every round.  Labels
+    enter the heap when defective at the start or touched by a column.
     """
     mu = Partition(mu)
-    vec = ladder_monomial(mu, l)
+    if not is_regular(mu, l):
+        raise ValueError("not l-regular")
+    if not mu:
+        return FockVector.basis(EMPTY)
+    below, i, n = _top_ladder(mu, l)
+    vec = f_apply(i, n, columns[below], l)
+    if vec.coefficient(mu) != LaurentPoly.one():
+        raise RuntimeError(f"start vector of {mu} has a bad leading term")
+    start = vec.entries
+    for nu in start:
+        if nu != mu and not dominance_leq(nu, mu):
+            raise RuntimeError(f"start vector of {mu} has support above {mu}")
     # within one degree, negated parts order the labels lex-descending
-    heap = [(tuple(-p for p in nu), nu) for nu in vec.entries if nu != mu]
+    heap = [
+        (tuple(-p for p in nu), nu)
+        for nu, c in vec.entries.items()
+        if nu != mu and min(c.c) <= 0
+    ]
     heapify(heap)
     queued = {nu for _, nu in heap}
     rounds = 0
@@ -335,11 +381,7 @@ def canonical_column(
                 dd[-e] = dd.get(-e, 0) + a
             elif e == 0:
                 dd[0] = dd.get(0, 0) + a
-        column = prior.get(nu)
-        if column is None:
-            raise RuntimeError(
-                f"reduction of {mu} needs the column of {nu}, which is unavailable"
-            )
+        column = columns[nu]
         vec = vec.subtract_scaled(LaurentPoly(dd), column)
         for lam in column.entries:
             if lam > nu:
@@ -352,7 +394,8 @@ def canonical_column(
     for nu, p in vec.entries.items():
         if nu == mu:
             continue
-        if not dominance_leq(nu, mu):
+        # labels of the start vector passed the same check above
+        if nu not in start and not dominance_leq(nu, mu):
             raise RuntimeError(f"canonical column of {mu} has support above it")
         if any(e < 1 for e in p.c) or any(a < 0 for a in p.c.values()):
             raise RuntimeError(
@@ -361,23 +404,51 @@ def canonical_column(
     return vec
 
 
+class ColumnTable(dict):
+    """Canonical columns at one l, each built on its first lookup.
+
+    Looking up l-regular mu calls canonical_column(mu, l, self), which
+    reads G(mu-) (lower degree) and its pivots' columns (same degree,
+    lex-below mu) from the table in turn, so a table holds exactly the
+    columns its lookups needed.  The start-vector check keeps every nested
+    lookup lex-below or degree-below the one that made it, so lookups
+    never cycle.  A table lives for one call; nothing is kept per process.
+    """
+
+    def __init__(self, l: int):
+        _check_l(l)
+        super().__init__()
+        self.l = l
+
+    def __missing__(self, mu: Partition) -> FockVector:
+        try:
+            column = canonical_column(mu, self.l, self)
+        except ValueError as exc:  # e.g. a pivot that is not l-regular
+            raise RuntimeError(f"cannot build the column of {mu}: {exc}") from exc
+        self[Partition(mu)] = column
+        return column
+
+
 # ---------------------------------------------------------------------------
 # decomposition matrices
 
 
-DEGREE_CAPS = {2: 10, 3: 10}
+# Caps from a 2 s budget per cold CLI call (median of five runs, 2-CPU Xeon
+# host).  Whole matrix: the largest degree at which `decomp-matrix` builds
+# and prints it in time; l >= 6 takes the l = 5 cap.
+DEGREE_CAPS = {2: 24, 3: 23, 4: 25}
 # One column on demand: the largest degree at which a cold `good --oracle`
-# on the top column of the largest block takes under 2 s (median of five
-# runs, 2-CPU Xeon host in a slow phase).  l >= 6 takes the l = 5 cap.
-COLUMN_CAPS = {2: 23, 3: 23, 4: 25}
+# on the slowest column of the degree finishes in time; l >= 6 takes the
+# l = 5 cap.
+COLUMN_CAPS = {2: 26, 3: 27, 4: 32}
 
 
 def degree_cap(l: int) -> int:
-    return DEGREE_CAPS.get(l, 8)
+    return DEGREE_CAPS.get(l, 26)
 
 
 def column_cap(l: int) -> int:
-    return COLUMN_CAPS.get(l, 29)
+    return COLUMN_CAPS.get(l, 35)
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,17 +486,11 @@ class DecompositionMatrix:
         )
 
 
-def _matrix(l: int, r: int, rows, cols, progress=None) -> DecompositionMatrix:
-    """Reduce the columns cols in lex-ascending order, which is compatible
-    with dominance, so each reduction only needs finished columns."""
-    prior: dict[Partition, FockVector] = {}
+def _matrix(l: int, r: int, rows, cols, table: ColumnTable) -> DecompositionMatrix:
+    """The degree-r matrix of the columns cols, read from table at v = 1."""
     entries: dict[tuple[Partition, Partition], int] = {}
-    for idx, mu in enumerate(sorted(cols)):
-        if progress is not None:
-            progress(f"l={l} r={r}: column {idx + 1}/{len(cols)}")
-        column = canonical_column(mu, l, prior)
-        prior[mu] = column
-        for lam, poly in column.entries.items():
+    for mu in cols:
+        for lam, poly in table[mu].entries.items():
             val = poly.evaluate_one()
             if val:
                 entries[(lam, mu)] = val
@@ -449,16 +514,22 @@ def decomposition_matrix(
         )
     rows = tuple(partitions_of(r))
     cols = tuple(lam for lam in rows if is_regular(lam, l))
-    return _matrix(l, r, rows, cols, progress)
+    table = ColumnTable(l)
+    # lex-ascending, so each column's pivots are already in the table
+    for idx, mu in enumerate(sorted(cols)):
+        if progress is not None:
+            progress(f"l={l} r={r}: column {idx + 1}/{len(cols)}")
+        table[mu]
+    return _matrix(l, r, rows, cols, table)
 
 
 def column_matrix(mu: Partition, l: int) -> DecompositionMatrix:
     """The canonical column of l-regular mu without the rest of its matrix.
 
-    The reduction of mu only reaches labels of its block (same l-core)
-    that lie dominance-below it, and so does the reduction of each of
-    those.  The result holds exactly these columns, built as in
-    decomposition_matrix.  Degrees above column_cap(l) are refused.
+    Its columns are the degree-|mu| columns that the reduction of mu read,
+    directly or through lower-degree columns: mu and labels of its block
+    (same l-core) dominance-below it.  Degrees above column_cap(l) are
+    refused.
     """
     _check_l(l)
     mu = Partition(mu)
@@ -470,14 +541,10 @@ def column_matrix(mu: Partition, l: int) -> DecompositionMatrix:
             f"degree {r} is above the on-demand column cap {column_cap(l)} for l={l}; "
             "read the matrix from a cache that decomp-matrix --unsafe-large wrote"
         )
-    core = l_core(mu, l)
-    rows = tuple(partitions_of(r))
-    cols = tuple(
-        nu
-        for nu in rows
-        if dominance_leq(nu, mu) and is_regular(nu, l) and l_core(nu, l) == core
-    )
-    return _matrix(l, r, rows, cols)
+    table = ColumnTable(l)
+    table[mu]
+    cols = tuple(sorted((nu for nu in table if nu.degree == r), reverse=True))
+    return _matrix(l, r, tuple(partitions_of(r)), cols, table)
 
 
 def nabla_multiplicity(

@@ -10,7 +10,8 @@ safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from itertools import zip_longest
+from itertools import accumulate
+from operator import le
 from typing import NamedTuple
 
 Node = tuple[int, int]
@@ -89,13 +90,9 @@ def dominance_leq(lam: Partition, mu: Partition) -> bool:
     lam, mu = Partition(lam), Partition(mu)
     if lam.degree != mu.degree:
         raise ValueError("incomparable degrees")
-    a = b = 0
-    for x, y in zip_longest(lam, mu, fillvalue=0):
-        a += x
-        b += y
-        if a > b:
-            return False
-    return True
+    # with equal degrees a shorter lam exceeds mu at its own length, and
+    # past mu's length mu's partial sums are the whole degree
+    return len(lam) >= len(mu) and all(map(le, accumulate(lam), accumulate(mu)))
 
 
 def regularity(lam: Partition, l: int) -> tuple[bool, bool]:

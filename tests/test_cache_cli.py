@@ -1,5 +1,6 @@
 """Cache round trips, integrity rejection, CLI surface and JSON schemas."""
 
+import importlib
 import json
 from importlib import resources
 from pathlib import Path
@@ -8,7 +9,7 @@ import jsonschema
 import pytest
 
 from trunksym.partitions import Partition
-from trunksym.fock import column_cap, decomposition_matrix
+from trunksym.fock import column_cap, decomposition_matrix, degree_cap
 from trunksym.cache import (
     CacheIntegrityError,
     cache_get,
@@ -155,6 +156,9 @@ class TestCache:
             (5, 16, "10ff13b02492edd11c74c435229aa47d7ce478521136722afd0b8b594e102c48"),
             (4, 18, "3cdde41e178228ca4690d0c862aab83b7d72fc5c6db094d4f4b7d7411665425e"),
             (5, 18, "b49c231269d7f02a03c2d30d2543f409d6309cf316c5178ef20026f11b1efdfc"),
+            (2, 22, "5d707f6a1e3c6ba34f125ee061f99b795f5da7c1763abe7ee5946c568a69efbf"),
+            (3, 22, "0036083aca5a00b948ce31175376db3330894d4efa002aba7b5e4c931bab35b2"),
+            (5, 24, "7be134aa3e18b798af23c50bfd3cb6af55bf4ba934e9ecaaad38b9efb75ec3e2"),
         ],
     )
     def test_pinned_checksums(self, l, r, checksum):
@@ -233,12 +237,31 @@ class TestPayloadValidation:
 
     @pytest.mark.parametrize(
         "rows",
-        [[[3], [2, 1], [1, 1]], [[4], [2, 1], [1, 1, 1]]],
-        ids=["short-row", "long-row"],
+        [[[3], [2, 1], [1, 1]], [[4], [2, 1], [1, 1, 1]], [[3], [2, 1], [2, 2]]],
+        ids=["short-row", "long-row", "wrong-degree"],
     )
     def test_row_label_of_another_degree_rejected(self, rows):
         with pytest.raises(CacheIntegrityError, match="does not have degree 3"):
             matrix_from_payload(hand_payload(rows=rows))
+
+    @pytest.mark.parametrize(
+        "last_row",
+        [[1, 1, 1, 0], [True, True, 1], [1.0, 1, 1], [1, 2], [-1, 4], [0, 3]],
+        ids=["zero-part", "bool-part", "float-part", "increasing", "negative-part", "leading-zero"],
+    )
+    def test_malformed_row_label_rejected(self, last_row):
+        # the last row is no column label, so only the row check can refuse it
+        with pytest.raises(CacheIntegrityError, match="bad row label"):
+            matrix_from_payload(hand_payload(rows=[[3], [2, 1], last_row]))
+
+    def test_row_label_not_a_list_rejected(self):
+        with pytest.raises(CacheIntegrityError, match="malformed payload"):
+            matrix_from_payload(hand_payload(rows=[[3], [2, 1], 111]))
+
+    def test_row_labels_are_partitions(self):
+        mat = matrix_from_payload(hand_payload())
+        assert all(type(lam) is Partition for lam in mat.rows + mat.cols)
+        assert mat.rows == (P((3,)), P((2, 1)), P((1, 1, 1)))
 
     def test_column_label_not_a_row_label_rejected(self):
         with pytest.raises(CacheIntegrityError, match="not a row label"):
@@ -346,6 +369,26 @@ class TestCli:
         assert capsys.readouterr().out == cold.out
         assert json.loads(cold.out)["status"] in ("yes", "no")
 
+    def test_good_oracle_computes_the_column_once(self, capsys, tmp_path, monkeypatch):
+        mullineux_mod = importlib.import_module("trunksym.mullineux")
+        calls = []
+        build = mullineux_mod.mullineux
+
+        def counted(mu, l):
+            calls.append(mu)
+            return build(mu, l)
+
+        monkeypatch.setattr(mullineux_mod, "mullineux", counted)
+        monkeypatch.setattr(cli, "mullineux", counted)
+        argv = ["good", "4,3,2,1", "--l", "3", "--m", "2", "--oracle", "--cache", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert calls == [P((4, 3, 2, 1))]
+        cache_put(tmp_path, decomposition_matrix(10, 3))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert len(calls) == 2
+
     def test_good_oracle_cap(self, capsys, tmp_path):
         cap = column_cap(2)
         label = ",".join(["1"] * (cap + 1))
@@ -414,8 +457,9 @@ class TestCli:
         )
 
     def test_decomp_matrix_cap(self, capsys):
-        assert main(["decomp-matrix", "--l", "2", "--degree", "11"]) == 2
-        assert "cap" in capsys.readouterr().err
+        top = degree_cap(2) + 1
+        assert main(["decomp-matrix", "--l", "2", "--degree", str(top)]) == 2
+        assert f"cap {degree_cap(2)}" in capsys.readouterr().err
 
     def test_crosscheck_report(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -20,6 +20,7 @@ from trunksym.partitions import (
 from trunksym import fock
 from trunksym.mullineux import mullineux, mullineux_length
 from trunksym.fock import (
+    ColumnTable,
     DecompositionMatrix,
     FockVector,
     LaurentPoly,
@@ -27,6 +28,7 @@ from trunksym.fock import (
     column_cap,
     column_matrix,
     decomposition_matrix,
+    degree_cap,
     f_apply,
     ladder_monomial,
     nabla_multiplicity,
@@ -83,7 +85,8 @@ def _reference_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
 
 # Reference kernel: divided powers from node tuples with every new label
-# validated, and a reduction that rescans the whole vector every round.
+# validated, and a reduction of the ladder monomial that rescans the whole
+# vector every round.
 
 
 def _reference_f_apply(i: int, k: int, x: FockVector, l: int) -> FockVector:
@@ -272,18 +275,20 @@ class TestLadderMonomials:
 
 class TestCanonicalColumns:
     def test_examples(self):
-        assert canonical_column(P((2,)), 2, {}) == FockVector(
+        assert canonical_column(EMPTY, 2, {}) == FockVector.basis(EMPTY)
+        assert canonical_column(P((2,)), 2, ColumnTable(2)) == FockVector(
             {P((2,)): one, P((1, 1)): v(1)}
         )
-        prior = {}
-        g21 = canonical_column(P((2, 1)), 3, prior)
-        prior[P((2, 1))] = g21
+        table = ColumnTable(3)
+        g21 = table[P((2, 1))]
         assert g21 == FockVector({P((2, 1)): one, P((1, 1, 1)): v(1)})
         # computed by running the reduction by hand; also forced by the
         # sign-twist identity with the conjugate of the one-row partition
-        assert canonical_column(P((3,)), 3, prior) == FockVector(
+        assert canonical_column(P((3,)), 3, table) == FockVector(
             {P((3,)): one, P((2, 1)): v(1)}
         )
+        with pytest.raises(ValueError, match="not l-regular"):
+            canonical_column(P((1, 1)), 2, ColumnTable(2))
 
     def test_positivity_and_triangularity(self):
         for l in (2, 3):
@@ -316,10 +321,9 @@ class TestMatrices:
             mat.entry(P((3,)), P((2,)))
 
     def test_degree_caps(self):
-        with pytest.raises(ValueError, match="cap"):
-            decomposition_matrix(11, 2)
-        with pytest.raises(ValueError, match="cap"):
-            decomposition_matrix(9, 5)
+        for l in (2, 5):
+            with pytest.raises(ValueError, match=f"cap {degree_cap(l)}"):
+                decomposition_matrix(degree_cap(l) + 1, l)
 
     def test_block_compatibility(self):
         for l in (2, 3):
@@ -425,6 +429,8 @@ class TestReferenceKernel:
         assert points == 7784
 
     def test_canonical_column_matches_reference(self, monkeypatch):
+        # the induced start vector f_i^(n) G(mu-) and the ladder monomial
+        # reduce to the same column; the induced one needs fewer rounds
         calls = [0]
         subtract = FockVector.subtract_scaled
 
@@ -433,21 +439,37 @@ class TestReferenceKernel:
             return subtract(self, poly, other)
 
         monkeypatch.setattr(FockVector, "subtract_scaled", counted)
-        for l in (2, 3, 4, 5):
-            for deg in range(13):
+        columns = reference_rounds = induced_rounds = 0
+        for l in (2, 3, 4, 5, 7):
+            table = ColumnTable(l)
+            for deg in range(14):
                 prior = {}
                 for mu in sorted(m for m in partitions_of(deg) if is_regular(m, l)):
                     calls[0] = 0
-                    expected = _reference_canonical_column(mu, l, prior)
-                    reference_calls = calls[0]
+                    prior[mu] = _reference_canonical_column(mu, l, prior)
+                    reference_rounds += calls[0]
                     calls[0] = 0
-                    prior[mu] = canonical_column(mu, l, prior)
-                    assert prior[mu] == expected, (l, mu)
-                    assert calls[0] == reference_calls, (l, mu)
+                    assert table[mu] == prior[mu], (l, mu)
+                    _assert_normal(table[mu])
+                    induced_rounds += calls[0]
+                    columns += 1
+        assert columns == 1176
+        assert induced_rounds < reference_rounds
+
+    def test_start_vector_checks(self):
+        # G(mu-) is read from columns; a start vector that is not
+        # unitriangular is an error before any pivot is read
+        scaled = FockVector({P((4,)): one + one - v(1)})
+        with pytest.raises(RuntimeError, match="start vector of .* bad leading term"):
+            canonical_column(P((5,)), 2, {P((4,)): scaled})
+        above = FockVector({P((2, 1)): one, P((3,)): v(1)})
+        with pytest.raises(RuntimeError, match="start vector of .* support above"):
+            canonical_column(P((2, 2)), 3, {P((2, 1)): above})
 
     def test_label_new_to_the_vector_is_still_a_pivot(self):
-        # (2,1,1,1) is not in the ladder monomial of (5); the synthetic
-        # column of the pivot (3,2) brings it in with a degree-0 term
+        # G((4)) given as its ladder monomial makes the start vector of (5)
+        # the ladder monomial of (5); (2,1,1,1) is not in it, and the
+        # synthetic column of the pivot (3,2) brings it in with a degree-0 term
         prior = {
             P((3, 2)): FockVector(
                 {P((3, 2)): one, P((3, 1, 1)): v(1), P((2, 2, 1)): v(2), P((2, 1, 1, 1)): one}
@@ -456,13 +478,21 @@ class TestReferenceKernel:
         }
         expected = _reference_canonical_column(P((5,)), 2, prior)
         assert P((2, 1, 1, 1)) not in expected.entries
+        prior[P((4,))] = ladder_monomial(P((4,)), 2)
         assert canonical_column(P((5,)), 2, prior) == expected
 
     def test_prior_column_above_its_label_is_an_error(self):
         # the ladder monomial of (5) at l = 2 has the pivot (3,2)
-        bad = {P((3, 2)): FockVector({P((3, 2)): one, P((4, 1)): v(1)})}
+        bad = {
+            P((4,)): ladder_monomial(P((4,)), 2),
+            P((3, 2)): FockVector({P((3, 2)): one, P((4, 1)): v(1)}),
+        }
         with pytest.raises(RuntimeError, match="lex-above"):
             canonical_column(P((5,)), 2, bad)
+
+    def test_table_lookup_failure_is_internal(self):
+        with pytest.raises(RuntimeError, match="cannot build the column of"):
+            ColumnTable(2)[P((1, 1))]
 
     def test_column_matrix_matches_matrix(self):
         for l in (2, 3, 4, 5):
@@ -484,6 +514,45 @@ class TestReferenceKernel:
             assert dominance_leq(nu, mu) and is_regular(nu, 3)
             assert l_core(nu, 3) == l_core(mu, 3)
         assert len(one.cols) < len(decomposition_matrix(10, 3).cols)
+
+    def test_column_matrix_reads_only_the_columns_it_needs(self):
+        # the one-row column lies above its whole block; the table builds
+        # only the degree-12 columns that its reduction reads
+        mu = P((12,))
+        block = [
+            nu
+            for nu in partitions_of(12)
+            if is_regular(nu, 2) and l_core(nu, 2) == l_core(mu, 2)
+        ]
+        one = column_matrix(mu, 2)
+        assert one.cols[0] == mu and set(one.cols) < set(block)
+        assert one.column_support(mu) == decomposition_matrix(12, 2, allow_large=True).column_support(mu)
+
+    def test_table_nesting_depth(self, monkeypatch):
+        # a lookup nests G(mu-) and pivot lookups; at the caps the deepest
+        # chain stays within degree + 2 lookups (one-row columns reach
+        # degree + 1), far inside the interpreter's recursion limit
+        depth = [0, 0]
+        build = fock.canonical_column
+
+        def nested(mu, l, columns):
+            depth[0] += 1
+            depth[1] = max(depth[1], depth[0])
+            try:
+                return build(mu, l, columns)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(fock, "canonical_column", nested)
+        for l, make in (
+            (2, lambda: decomposition_matrix(degree_cap(2), 2)),
+            (2, lambda: column_matrix(P((column_cap(2),)), 2)),
+            (6, lambda: column_matrix(P((column_cap(6),)), 6)),
+        ):
+            depth[1] = 0
+            mat = make()
+            assert depth[0] == 0
+            assert 0 < depth[1] <= mat.degree + 2, (l, mat.degree, depth[1])
 
     def test_column_matrix_preconditions(self):
         with pytest.raises(ValueError, match="not l-regular"):

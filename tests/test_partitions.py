@@ -1,6 +1,7 @@
 """Partition core: construction, order, nodes, hooks, cores, reflection."""
 
 import random
+from itertools import zip_longest
 
 import pytest
 
@@ -89,7 +90,37 @@ class TestTranspose:
                 assert t.degree == lam.degree
 
 
+def _reference_dominance_leq(lam, mu):
+    """Running partial sums over the zero-padded parts."""
+    lam, mu = P(lam), P(mu)
+    if lam.degree != mu.degree:
+        raise ValueError("incomparable degrees")
+    a = b = 0
+    for x, y in zip_longest(lam, mu, fillvalue=0):
+        a += x
+        b += y
+        if a > b:
+            return False
+    return True
+
+
 class TestDominance:
+    def test_matches_reference(self):
+        pairs = 0
+        for deg in range(13):
+            lams = list(partitions_of(deg))
+            for a in lams:
+                for b in lams:
+                    assert dominance_leq(a, b) == _reference_dominance_leq(a, b), (a, b)
+                    pairs += 1
+        assert pairs == 12648
+        for a, b in (((2,), (3,)), ((1, 1), (2, 1)), ((), (1,))):
+            with pytest.raises(ValueError, match="incomparable degrees"):
+                dominance_leq(P(a), P(b))
+        with pytest.raises(ValueError, match="positive"):
+            dominance_leq((1, -1), (1,))
+        assert dominance_leq((2, 1, 0), [3])
+
     def test_examples(self):
         assert dominance_leq(P((2, 1)), P((3,)))
         assert not dominance_leq(P((3,)), P((2, 1)))
