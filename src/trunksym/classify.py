@@ -225,13 +225,9 @@ def witness_is_valid(lam: Partition, m: int, l: int, witness: Witness) -> bool:
 # m-good
 
 
-def is_m_good(
-    lam: Partition, m: int, l: int, oracle=None, column: Partition | None = None
-) -> GoodVerdict:
+def is_m_good(lam: Partition, m: int, l: int, oracle=None) -> GoodVerdict:
     """Tri-state verdict; `oracle` may carry a decomposition matrix of the
-    right degree to double-check the restricted rule.  `column` is the
-    matrix column that check reads, mullineux(transpose(lam), l), for a
-    caller that has already computed it."""
+    right degree to double-check the restricted rule."""
     _check_l(l)
     lam = Partition(lam)
     if m < 1:
@@ -240,7 +236,7 @@ def is_m_good(
     if is_restricted(lam, l):
         yes = core_len <= m
         if oracle is not None:
-            _oracle_confirm(lam, m, l, oracle, yes, column)
+            _oracle_confirm(lam, m, l, oracle, yes)
         return GoodVerdict("yes" if yes else "no", RULE_MULL_LENGTH)
     if lam.part(1) <= m * (l - 1):
         return GoodVerdict("yes" if core_len <= m else "no", PROV_SPECIAL_BOUND)
@@ -249,13 +245,12 @@ def is_m_good(
     return GoodVerdict("unknown", PROV_UNDECIDED)
 
 
-def _oracle_confirm(lam: Partition, m: int, l: int, matrix, expected: bool, col) -> None:
+def _oracle_confirm(lam: Partition, m: int, l: int, matrix, expected: bool) -> None:
     from .mullineux import mullineux
 
     if matrix.degree != lam.degree or matrix.l != l:
         raise ValueError("oracle matrix does not match the partition's degree and l")
-    if col is None:
-        col = mullineux(transpose(lam), l)
+    col = mullineux(transpose(lam), l)
     if col not in matrix.cols:
         raise ValueError(f"{col} is not a column label (not l-regular?)")
     entries = matrix.entries

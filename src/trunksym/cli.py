@@ -110,18 +110,17 @@ def _cmd_special(args) -> int:
 
 def _cmd_good(args) -> int:
     lam = parse_partition(args.parts)
-    oracle = column = None
+    oracle = None
     if args.oracle and is_restricted(lam, args.l):
         # only restricted labels consult the oracle; without a readable
         # cache file, build just the column the verdict reads
-        column = mullineux(transpose(lam), args.l)
         oracle = cache_mod.load_or_compute(
             args.l,
             lam.degree,
             cache_dir=args.cache,
-            on_miss=lambda: column_matrix(column, args.l),
+            on_miss=lambda: column_matrix(mullineux(transpose(lam), args.l), args.l),
         )
-    verdict = is_m_good(lam, args.m, args.l, oracle=oracle, column=column)
+    verdict = is_m_good(lam, args.m, args.l, oracle=oracle)
     _dump(verdict.to_json())
     return 0
 

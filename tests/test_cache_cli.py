@@ -1,6 +1,5 @@
 """Cache round trips, integrity rejection, CLI surface and JSON schemas."""
 
-import importlib
 import json
 from importlib import resources
 from pathlib import Path
@@ -368,26 +367,6 @@ class TestCli:
         assert main(argv) == 0
         assert capsys.readouterr().out == cold.out
         assert json.loads(cold.out)["status"] in ("yes", "no")
-
-    def test_good_oracle_computes_the_column_once(self, capsys, tmp_path, monkeypatch):
-        mullineux_mod = importlib.import_module("trunksym.mullineux")
-        calls = []
-        build = mullineux_mod.mullineux
-
-        def counted(mu, l):
-            calls.append(mu)
-            return build(mu, l)
-
-        monkeypatch.setattr(mullineux_mod, "mullineux", counted)
-        monkeypatch.setattr(cli, "mullineux", counted)
-        argv = ["good", "4,3,2,1", "--l", "3", "--m", "2", "--oracle", "--cache", str(tmp_path)]
-        assert main(argv) == 0
-        cold = capsys.readouterr().out
-        assert calls == [P((4, 3, 2, 1))]
-        cache_put(tmp_path, decomposition_matrix(10, 3))
-        assert main(argv) == 0
-        assert capsys.readouterr().out == cold
-        assert len(calls) == 2
 
     def test_good_oracle_cap(self, capsys, tmp_path):
         cap = column_cap(2)
