@@ -9,7 +9,8 @@ cut out, without encoding the payload again; a file in any other layout
 (pretty-printed, reordered, no final newline) fails that check.  Anything
 that fails the layout, checksum, parsing, schema shape, label checks (every
 row label a weakly decreasing list of positive ints of the header degree,
-every column label a row label), entry index range or header match is
+every column label a row label), entry checks (plain int indices in
+range, plain positive int values, no position twice) or header match is
 rejected with CacheIntegrityError and recomputed, never silently trusted.
 """
 
@@ -106,12 +107,17 @@ def matrix_from_payload(payload) -> DecompositionMatrix:
         if None in cols:
             raise ValueError("a column label is not a row label")
         entries = {}
+        # JSON true/false read as bool, a subclass of int: require plain ints
         for ri, ci, val in payload["entries"]:
+            if type(ri) is not int or type(ci) is not int:
+                raise ValueError(f"bad entry index {[ri, ci]!r}")
             if not (0 <= ri < len(rows) and 0 <= ci < len(cols)):
                 raise ValueError(f"entry index out of range {[ri, ci]!r}")
-            if not isinstance(val, int) or val <= 0:
+            if type(val) is not int or val <= 0:
                 raise ValueError(f"bad entry value {val!r}")
             entries[(rows[ri], cols[ci])] = val
+        if len(entries) != len(payload["entries"]):
+            raise ValueError("an entry position is repeated")
         mat = DecompositionMatrix(
             l=int(payload["l"]),
             degree=degree,

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import le
 from typing import Mapping
 
 from .partitions import (
@@ -65,6 +66,24 @@ def _accumulate(out: dict[int, int], c: Mapping[int, int], shift: int, scale: in
             out[k] = s
         else:
             del out[k]
+
+
+def _subtract_into(out: dict, poly: Mapping[int, int], other: Mapping) -> None:
+    """out -= poly * other in place, for Fock-vector entry tables of one degree.
+
+    Touched labels get a new LaurentPoly, so polynomials that out shares
+    with another vector are never changed; labels that cancel are deleted,
+    so out stays in normal form.
+    """
+    for lam, p in other.items():
+        cur = out.get(lam)
+        acc = dict(cur.c) if cur is not None else {}
+        for e, a in poly.items():
+            _accumulate(acc, p.c, e, -a)
+        if acc:
+            out[lam] = LaurentPoly._wrap(acc)
+        elif cur is not None:
+            del out[lam]
 
 
 class LaurentPoly:
@@ -197,15 +216,7 @@ class FockVector:
             if next(iter(self.entries)).degree != next(iter(other.entries)).degree:
                 raise ValueError("mixed degrees in one Fock vector")
         out = dict(self.entries)
-        for lam, p in other.entries.items():
-            cur = out.get(lam)
-            acc = dict(cur.c) if cur is not None else {}
-            for e, a in poly.c.items():
-                _accumulate(acc, p.c, e, -a)
-            if acc:
-                out[lam] = LaurentPoly._wrap(acc)
-            elif cur is not None:
-                del out[lam]
+        _subtract_into(out, poly.c, other.entries)
         return FockVector._wrap(out)
 
     def __eq__(self, other: object) -> bool:
@@ -238,6 +249,7 @@ def f_apply(i: int, k: int, x: FockVector, l: int) -> FockVector:
     in_s_above = k * (k - 1) // 2
     out: dict[Partition, dict[int, int]] = {}
     for lam, coef in x.entries.items():
+        coeffs = coef.c
         # one scan of the parts; the node in 0-based row t, column c has
         # residue (c - t) mod l, so row t's addable node has residue
         # (lam_t - t) mod l and its removable node (lam_t - t - 1) mod l
@@ -266,7 +278,17 @@ def f_apply(i: int, k: int, x: FockVector, l: int) -> FockVector:
             if not new[-1]:
                 new.pop()
             mu = tuple.__new__(Partition, new)  # a partition by the row check
-            _accumulate(out.setdefault(mu, {}), coef.c, power, 1)
+            acc = out.get(mu)
+            if acc is None:
+                out[mu] = {e + power: a for e, a in coeffs.items()}
+                continue
+            for e, a in coeffs.items():
+                e += power
+                a += acc.get(e, 0)
+                if a:
+                    acc[e] = a
+                else:
+                    del acc[e]
     return FockVector._wrap({mu: LaurentPoly._wrap(c) for mu, c in out.items() if c})
 
 
@@ -343,6 +365,7 @@ def canonical_column(
     hence lex-below it, so a popped label never changes again and the
     pivots are those of rescanning the whole vector every round.  Labels
     enter the heap when defective at the start or touched by a column.
+    The start vector's own entry table is reduced in place.
     """
     mu = Partition(mu)
     if not is_regular(mu, l):
@@ -350,58 +373,66 @@ def canonical_column(
     if not mu:
         return FockVector.basis(EMPTY)
     below, i, n = _top_ladder(mu, l)
-    vec = f_apply(i, n, columns[below], l)
-    if vec.coefficient(mu) != LaurentPoly.one():
+    vec = f_apply(i, n, columns[below], l).entries  # fresh, reduced in place
+    lead = vec.get(mu)
+    if lead is None or lead.c != {0: 1}:
         raise RuntimeError(f"start vector of {mu} has a bad leading term")
-    start = vec.entries
+    # labels of vec share mu's degree (vec is homogeneous and holds mu), so
+    # nu is dominance-below mu iff its partial sums stay under mu's; map
+    # stops at the shorter, and a shorter nu fails at its own length
+    bounds = tuple(accumulate(mu))
+    start = set(vec)
     for nu in start:
-        if nu != mu and not dominance_leq(nu, mu):
+        if nu != mu and not all(map(le, accumulate(nu), bounds)):
             raise RuntimeError(f"start vector of {mu} has support above {mu}")
     # within one degree, negated parts order the labels lex-descending
     heap = [
         (tuple(-p for p in nu), nu)
-        for nu, c in vec.entries.items()
+        for nu, c in vec.items()
         if nu != mu and min(c.c) <= 0
     ]
     heapify(heap)
     queued = {nu for _, nu in heap}
+    degree = mu.degree
     rounds = 0
     while heap:
         _, nu = heappop(heap)
-        c = vec.entries.get(nu)
-        if c is None or all(e > 0 for e in c.c):
+        c = vec.get(nu)
+        if c is None or min(c.c) > 0:
             continue
         rounds += 1
         if rounds > 100_000:
             raise RuntimeError("canonical column reduction failed to terminate")
-        dd: dict[int, int] = {}
+        dd: dict[int, int] = {}  # normal form: each exponent set once
         for e, a in c.c.items():
             if e < 0:
-                dd[e] = dd.get(e, 0) + a
-                dd[-e] = dd.get(-e, 0) + a
+                dd[e] = dd[-e] = a
             elif e == 0:
-                dd[0] = dd.get(0, 0) + a
-        column = columns[nu]
-        vec = vec.subtract_scaled(LaurentPoly(dd), column)
-        for lam in column.entries:
+                dd[0] = a
+        column = columns[nu].entries
+        if column and next(iter(column)).degree != degree:
+            raise ValueError("mixed degrees in one Fock vector")
+        _subtract_into(vec, dd, column)
+        for lam in column:
             if lam > nu:
                 raise RuntimeError(f"column of {nu} has support lex-above it")
             if lam not in queued:
                 queued.add(lam)
                 heappush(heap, (tuple(-p for p in lam), lam))
-    if vec.coefficient(mu) != LaurentPoly.one():
+    lead = vec.get(mu)
+    if lead is None or lead.c != {0: 1}:
         raise RuntimeError(f"canonical column of {mu} lost its unit diagonal")
-    for nu, p in vec.entries.items():
+    for nu, p in vec.items():
         if nu == mu:
             continue
         # labels of the start vector passed the same check above
-        if nu not in start and not dominance_leq(nu, mu):
+        if nu not in start and not all(map(le, accumulate(nu), bounds)):
             raise RuntimeError(f"canonical column of {mu} has support above it")
-        if any(e < 1 for e in p.c) or any(a < 0 for a in p.c.values()):
+        if min(p.c) < 1 or min(p.c.values()) < 0:
             raise RuntimeError(
                 f"positivity violation in column {mu} at row {nu}: {p!r}"
             )
-    return vec
+    return FockVector._wrap(vec)
 
 
 class ColumnTable(dict):
@@ -436,19 +467,19 @@ class ColumnTable(dict):
 # Caps from a 2 s budget per cold CLI call (median of five runs, 2-CPU Xeon
 # host).  Whole matrix: the largest degree at which `decomp-matrix` builds
 # and prints it in time; l >= 6 takes the l = 5 cap.
-DEGREE_CAPS = {2: 24, 3: 23, 4: 25}
+DEGREE_CAPS = {2: 24, 3: 24, 4: 25}
 # One column on demand: the largest degree at which a cold `good --oracle`
 # on the slowest column of the degree finishes in time; l >= 6 takes the
 # l = 5 cap.
-COLUMN_CAPS = {2: 26, 3: 27, 4: 32}
+COLUMN_CAPS = {2: 27, 3: 28, 4: 32}
 
 
 def degree_cap(l: int) -> int:
-    return DEGREE_CAPS.get(l, 26)
+    return DEGREE_CAPS.get(l, 27)
 
 
 def column_cap(l: int) -> int:
-    return COLUMN_CAPS.get(l, 35)
+    return COLUMN_CAPS.get(l, 36)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from itertools import accumulate
-from operator import le
+from operator import le, ne
 from typing import NamedTuple
 
 Node = tuple[int, int]
@@ -96,31 +96,26 @@ def dominance_leq(lam: Partition, mu: Partition) -> bool:
 
 
 def regularity(lam: Partition, l: int) -> tuple[bool, bool]:
-    """(is l-regular, is l-restricted).
-
-    Regular: no positive value repeats l or more times.  Restricted: every
-    difference lam_i - lam_{i+1}, including the final part, stays below l.
-    """
-    _check_l(l)
-    lam = Partition(lam)
-    regular = True
-    run, prev = 0, None
-    for p in lam:
-        run = run + 1 if p == prev else 1
-        prev = p
-        if run >= l:
-            regular = False
-            break
-    restricted = all(lam.part(i) - lam.part(i + 1) < l for i in range(1, len(lam) + 1))
-    return regular, restricted
+    """(is l-regular, is l-restricted)."""
+    return is_regular(lam, l), is_restricted(lam, l)
 
 
 def is_regular(lam: Partition, l: int) -> bool:
-    return regularity(lam, l)[0]
+    """No positive value repeats l or more times.
+
+    Parts weakly decrease, so a run of l equal parts is a part equal to
+    the one l - 1 rows below it.
+    """
+    _check_l(l)
+    lam = Partition(lam)
+    return all(map(ne, lam, lam[l - 1 :]))
 
 
 def is_restricted(lam: Partition, l: int) -> bool:
-    return regularity(lam, l)[1]
+    """Every difference lam_i - lam_{i+1}, including the final part, stays below l."""
+    _check_l(l)
+    lam = Partition(lam)
+    return all(p - q < l for p, q in zip(lam, lam[1:] + (0,)))
 
 
 def _from_diffs(diffs: list[int]) -> Partition:

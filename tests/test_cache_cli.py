@@ -235,6 +235,46 @@ class TestPayloadValidation:
             matrix_from_payload(hand_payload(entries=entries))
 
     @pytest.mark.parametrize(
+        "entries",
+        [
+            [[0, 0, 1], [1, True, 1], [2, 0, 1]],
+            [[0, False, 1], [1, 1, 1], [2, 0, 1]],
+            [[0, 0, 1], [1, 1, 1], [2.0, 0, 1]],
+        ],
+        ids=["true-col", "false-col", "float-row"],
+    )
+    def test_non_int_entry_index_rejected(self, entries):
+        # JSON true/false would otherwise read as the indices 1/0
+        with pytest.raises(CacheIntegrityError, match="bad entry index"):
+            matrix_from_payload(hand_payload(entries=entries))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[0, 0, True], [1, 1, 1], [2, 0, 1]],
+            [[0, 0, 1], [1, 1, 1], [2, 0, 1.0]],
+            [[0, 0, 1], [1, 1, 1], [2, 0, 0]],
+        ],
+        ids=["true-value", "float-value", "zero-value"],
+    )
+    def test_bad_entry_value_rejected(self, entries):
+        with pytest.raises(CacheIntegrityError, match="bad entry value"):
+            matrix_from_payload(hand_payload(entries=entries))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[0, 0, 1], [1, 1, 1], [2, 0, 1], [2, 0, 1]],
+            [[0, 0, 1], [1, 1, 1], [2, 0, 1], [2, 0, 3]],
+        ],
+        ids=["same-value", "other-value"],
+    )
+    def test_repeated_entry_position_rejected(self, entries):
+        # a repeated [row, col] pair would otherwise keep its last value
+        with pytest.raises(CacheIntegrityError, match="entry position is repeated"):
+            matrix_from_payload(hand_payload(entries=entries))
+
+    @pytest.mark.parametrize(
         "rows",
         [[[3], [2, 1], [1, 1]], [[4], [2, 1], [1, 1, 1]], [[3], [2, 1], [2, 2]]],
         ids=["short-row", "long-row", "wrong-degree"],

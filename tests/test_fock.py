@@ -431,15 +431,17 @@ class TestReferenceKernel:
     def test_canonical_column_matches_reference(self, monkeypatch):
         # the induced start vector f_i^(n) G(mu-) and the ladder monomial
         # reduce to the same column; from the induced start the heap takes
-        # the pivots of a rescan, column by column, in fewer rounds overall
+        # the pivots of a rescan, column by column, in fewer rounds overall.
+        # Both reductions subtract through fock._subtract_into: the kernel
+        # in place, the reference through FockVector.subtract_scaled.
         calls = [0]
-        subtract = FockVector.subtract_scaled
+        subtract = fock._subtract_into
 
-        def counted(self, poly, other):
+        def counted(out, poly, other):
             calls[0] += 1
-            return subtract(self, poly, other)
+            return subtract(out, poly, other)
 
-        monkeypatch.setattr(FockVector, "subtract_scaled", counted)
+        monkeypatch.setattr(fock, "_subtract_into", counted)
         columns = ladder_rounds = induced_rounds = 0
         for l in (2, 3, 4, 5, 7):
             prior = {}
@@ -474,6 +476,47 @@ class TestReferenceKernel:
         above = FockVector({P((2, 1)): one, P((3,)): v(1)})
         with pytest.raises(RuntimeError, match="start vector of .* support above"):
             canonical_column(P((2, 2)), 3, {P((2, 1)): above})
+
+    @staticmethod
+    def _below_521(extra):
+        # At l = 2, (5,2,1) is (4,2,1) plus one top-ladder node of residue 0.
+        # This synthetic G((4,2,1)) holds (4,1,1,1) at coefficient extra, so
+        # the start vector of (5,2,1) holds (5,1,1,1) at extra, (4,2,1,1) at
+        # v * extra and (4,1,1,1,1) at v^2 * extra.
+        return FockVector({P((4, 2, 1)): one, P((4, 1, 1, 1)): extra})
+
+    def test_pivot_bringing_in_a_label_above_mu_is_an_error(self):
+        # (4,4) is lex-below the pivot (5,1,1,1) but not dominance-below (5,2,1)
+        columns = {
+            P((4, 2, 1)): self._below_521(one),
+            P((5, 1, 1, 1)): FockVector({P((5, 1, 1, 1)): one, P((4, 4)): -v(1)}),
+        }
+        with pytest.raises(RuntimeError, match="canonical column of .* has support above it"):
+            canonical_column(P((5, 2, 1)), 2, columns)
+
+    def test_negative_coefficient_is_a_positivity_violation(self):
+        columns = {P((4, 2, 1)): self._below_521(-v(2))}
+        with pytest.raises(RuntimeError, match=r"positivity violation .* row Partition\(\[5, 1, 1, 1\]\): -1\*v\^2"):
+            canonical_column(P((5, 2, 1)), 2, columns)
+
+    def test_uncleared_pivot_is_a_positivity_violation(self):
+        # a pivot column without its own label leaves the pivot (5,1,1,1) at v^0
+        columns = {
+            P((4, 2, 1)): self._below_521(one),
+            P((5, 1, 1, 1)): FockVector({P((4, 2, 1, 1)): v(1)}),
+        }
+        with pytest.raises(RuntimeError, match=r"positivity violation .* row Partition\(\[5, 1, 1, 1\]\): 1$"):
+            canonical_column(P((5, 2, 1)), 2, columns)
+
+    def test_pivot_column_of_another_degree_is_an_error(self):
+        # the start vector of (5) at l = 2 has the defective pivot (3,2);
+        # a degree-4 column supplied for it cannot be subtracted
+        bad = {
+            P((4,)): ladder_monomial(P((4,)), 2),
+            P((3, 2)): FockVector({P((3, 1)): one, P((2, 1, 1)): v(1)}),
+        }
+        with pytest.raises(ValueError, match="mixed degrees"):
+            canonical_column(P((5,)), 2, bad)
 
     def test_label_new_to_the_vector_is_still_a_pivot(self):
         # G((4)) given as its ladder monomial makes the start vector of (5)

@@ -140,7 +140,39 @@ class TestDominance:
                         assert a == b
 
 
+def _reference_regularity(lam, l):
+    """The combined loop: a run counter for regularity, then every
+    consecutive difference for restrictedness."""
+    lam = P(lam)
+    regular = True
+    run, prev = 0, None
+    for p in lam:
+        run = run + 1 if p == prev else 1
+        prev = p
+        if run >= l:
+            regular = False
+            break
+    restricted = all(lam.part(i) - lam.part(i + 1) < l for i in range(1, len(lam) + 1))
+    return regular, restricted
+
+
 class TestRegularity:
+    def test_matches_reference(self):
+        points = 0
+        for l in range(2, 8):
+            for deg in range(15):
+                for lam in partitions_of(deg):
+                    expected = _reference_regularity(lam, l)
+                    assert regularity(lam, l) == expected, (l, lam)
+                    assert (is_regular(lam, l), is_restricted(lam, l)) == expected, (l, lam)
+                    points += 1
+        assert points == 3048  # six values of l, 508 partitions of degree <= 14
+        with pytest.raises(ValueError, match="quantum characteristic"):
+            is_regular(P((1,)), 1)
+        with pytest.raises(ValueError, match="quantum characteristic"):
+            is_restricted(P((1,)), True)
+        assert is_regular((2, 1, 0), 2) and not is_restricted([3, 0], 3)
+
     def test_examples(self):
         assert regularity(P((2, 2, 1, 1)), 3) == (True, True)
         assert regularity(P((1, 1, 1)), 3) == (False, True)
