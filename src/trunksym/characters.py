@@ -8,6 +8,12 @@ the coefficient of the whole orbit.  All arithmetic is exact integers.
 Power characters are products of one-variable series prod_i h(x_i), so a
 monomial's coefficient is a product of series coefficients; only the graded
 identity multiplies orbits, as its independent check.
+
+A tensor character prod_i g(x_i), g(x) = sum_k c_k x^k, has Schur
+coefficients det(c_(lam_i - i + j)) by the dual Cauchy identity and
+Jacobi-Trudi, so truncated_tensor_char takes one small Bareiss determinant
+per Schur label.  Kostka numbers and the Kostka inversion
+(monomials_to_schur) serve the characters suite as its oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from itertools import combinations
 from math import comb, prod
 from typing import Iterator, Mapping
 
-from .partitions import Partition, _check_l, partitions_of
+from .partitions import Partition, _check_l, count_partitions, partitions_of
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +243,7 @@ def _strip_predecessors(shape: tuple[int, ...], size: int) -> Iterator[tuple[int
     yield from rec(0, size, ())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def kostka(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
     """Number of semistandard tableaux of the shape with the given content.
 
@@ -384,27 +390,113 @@ def full_power_char(r: int, n: int) -> MonomialChar:
     return _power_slice([1] * (r + 1), n, r)
 
 
-def truncated_tensor_char(m: int, n: int, l: int, r: int) -> SchurExpansion:
-    """Schur expansion of the degree-r slice of the m-fold truncated power.
+def _det(matrix: list[list[int]]) -> int:
+    """Exact determinant by Bareiss fraction-free elimination.
 
-    The m-fold power is prod_i g(x_i) with g(x) = (1 + x + ... + x^(l-1))^m,
-    so the coefficient of a dominant monomial mu is prod_i [x^(mu_i)] g;
-    the Kostka triangle then turns the monomial slice into Schur functions.
-    Coefficients may be negative (the truncated powers are not filtered by
-    standard modules in general; already the degree-3 slice at l = 3 in 3
-    variables is s_(2,1) - s_(1,1,1)).  The support bound first part <=
-    m(l-1) always holds and is enforced.
+    Each step divides exactly by the previous pivot, so every entry stays
+    an integer minor of the input; a zero pivot swaps in a lower row with a
+    nonzero entry in its column, or the determinant is zero.  The input is
+    not modified.
     """
+    a = list(matrix)
+    sign, prev = 1, 1
+    while len(a) > 1:
+        if not a[0][0]:
+            swap = next((i for i, row in enumerate(a) if row[0]), None)
+            if swap is None:
+                return 0
+            a[0], a[swap] = a[swap], a[0]
+            sign = -sign
+        top = a[0]
+        pivot, rest = top[0], top[1:]
+        a = [
+            [(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], rest)]
+            if row[0]
+            else [x * pivot // prev for x in row[1:]]
+            for row in a[1:]
+        ]
+        prev = pivot
+    return sign * a[0][0] if a else 1
+
+
+def _check_tensor_args(m: int, n: int, l: int, r: int) -> None:
     _check_l(l)
     if m < 0 or r < 0:
         raise ValueError("m and r must be nonnegative")
-    out = monomials_to_schur(_power_slice(_series_power(l, m, r), n, r))
-    for lam in out.coeffs:
-        if lam.part(1) > m * (l - 1):
-            raise RuntimeError(
-                f"truncated tensor character violated its support bound at {lam}"
-            )
-    return out
+    if n < 1:
+        raise ValueError("need at least one variable")
+
+
+def truncated_tensor_char(m: int, n: int, l: int, r: int) -> SchurExpansion:
+    """Schur expansion of the degree-r slice of the m-fold truncated power.
+
+    The m-fold power is prod_i g(x_i) with g(x) = (1 + x + ... + x^(l-1))^m
+    = sum_k c_k x^k.  By the dual Cauchy identity and Jacobi-Trudi
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3-4), the
+    coefficient of s_lam in prod_i g(x_i) is det(c_(lam_i - i + j)), a
+    len(lam) x len(lam) determinant (c_k = 0 for k < 0), summed over
+    lam |- r with at most n parts.  g has degree m(l-1), so a lam with
+    lam_1 > m(l-1) has a zero first row: only labels under that support
+    bound are enumerated, and the series is checked to vanish above degree
+    m(l-1).  Coefficients may be negative (the truncated powers are not
+    filtered by standard modules in general; already the degree-3 slice at
+    l = 3 in 3 variables is s_(2,1) - s_(1,1,1)).  Inverting the Kostka
+    triangle on the monomial slice (monomials_to_schur) gives the same
+    expansion; the characters suite checks one against the other.
+    """
+    _check_tensor_args(m, n, l, r)
+    top = m * (l - 1)
+    rows = min(n, r)  # no label of degree r has more parts
+    series = _series_power(l, m, r + rows)
+    if any(series[top + 1 :]):
+        raise RuntimeError(
+            "truncated tensor character violated its support bound: "
+            f"the series has a term above degree {top}"
+        )
+    padded = [0] * rows + series  # padded[rows + k] = c_k, zero for k < 0
+    coeffs = {}
+    for lam in partitions_of(r, max_len=rows, max_part=top):
+        size = len(lam)
+        coef = _det([padded[rows + p - i : rows + p - i + size] for i, p in enumerate(lam)])
+        if coef:
+            coeffs[lam] = coef
+    return SchurExpansion(n, coeffs)
+
+
+# `char` refuses (exit 2) a slice above either cap.  Its cost is a fixed
+# overhead per Schur label, output included, about that of 600 Bareiss
+# entry updates, plus (k - 1)k(2k - 1)/6 updates for a label of k parts.
+# The updates act on integers of about b = bits of C(m + r, r), which
+# bounds c_k for k <= r, and slow down by about (1 + b/512)^2.  On one
+# 2-CPU Xeon host an update of small integers takes about 0.15 us, and the
+# slowest accepted slices found take under 8 s.  The degree cap keeps the
+# work estimate and the series cheap to compute before any determinant.
+CHAR_DEGREE_CAP = 100
+CHAR_WORK_CAP = 60_000_000
+
+
+def check_char_cost(m: int, n: int, l: int, r: int) -> int:
+    """The estimated work of truncated_tensor_char(m, n, l, r) in Bareiss
+    entry updates; ValueError above a `char` cap."""
+    _check_tensor_args(m, n, l, r)
+    if r > CHAR_DEGREE_CAP:
+        raise ValueError(f"degree {r} is above the char cap {CHAR_DEGREE_CAP}")
+    top = m * (l - 1)
+    work = 600 if r == 0 else 0  # the empty label
+    if top:
+        for k in range(1, min(n, r) + 1):
+            # k-part labels with parts <= top, less one in every part, are
+            # the partitions of r - k in a k x (top - 1) box
+            labels = count_partitions(r - k, k, top - 1)
+            work += labels * (600 + (k - 1) * k * (2 * k - 1) // 6)
+    bits = comb(m + r, r).bit_length()
+    work = work * (512 + bits) ** 2 // 512**2
+    if work > CHAR_WORK_CAP:
+        raise ValueError(
+            f"char slice needs about {work} determinant entry updates on "
+            f"{bits}-bit integers, above the cap {CHAR_WORK_CAP}"
+        )
+    return work
 
 
 def frobenius_stretch(chi: MonomialChar, l: int) -> MonomialChar:

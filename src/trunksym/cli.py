@@ -38,7 +38,7 @@ from .mullineux import (
     mullineux_symbol,
 )
 from .classify import enumerate_special, is_m_good, is_m_special
-from .characters import truncated_tensor_char
+from .characters import check_char_cost, truncated_tensor_char
 from .suites import SUITES, run_suite, suite_names
 
 
@@ -132,6 +132,7 @@ def _cmd_enumerate_special(args) -> int:
 
 
 def _cmd_char(args) -> int:
+    check_char_cost(args.m, args.n, args.l, args.degree)
     expansion = truncated_tensor_char(args.m, args.n, args.l, args.degree)
     _dump(
         {

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
-from operator import le
+from operator import le, neg
 from typing import Mapping
 
 from .partitions import (
@@ -387,7 +387,7 @@ def canonical_column(
             raise RuntimeError(f"start vector of {mu} has support above {mu}")
     # within one degree, negated parts order the labels lex-descending
     heap = [
-        (tuple(-p for p in nu), nu)
+        (tuple(map(neg, nu)), nu)
         for nu, c in vec.items()
         if nu != mu and min(c.c) <= 0
     ]
@@ -418,10 +418,11 @@ def canonical_column(
                 raise RuntimeError(f"column of {nu} has support lex-above it")
             if lam not in queued:
                 queued.add(lam)
-                heappush(heap, (tuple(-p for p in lam), lam))
-    lead = vec.get(mu)
-    if lead is None or lead.c != {0: 1}:
-        raise RuntimeError(f"canonical column of {mu} lost its unit diagonal")
+                heappush(heap, (tuple(map(neg, lam)), lam))
+    # the unit diagonal checked on the start vector still holds: every
+    # pivot is lex-below mu (start labels are dominance-below it, column
+    # labels lex-below their pivot), so a column that touched mu would
+    # hold a label lex-above its pivot and have raised above
     for nu, p in vec.items():
         if nu == mu:
             continue

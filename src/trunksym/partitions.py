@@ -419,6 +419,26 @@ def partitions_of(
             yield lam
 
 
+def count_partitions(r: int, max_len: int, max_part: int) -> int:
+    """How many partitions partitions_of(r, max_len, max_part) yields.
+
+    The partitions fitting an a x b box are counted by the Gaussian binomial
+    [a + b, a]_q = prod_(i=1..a) (1 - q^(b+i)) / (1 - q^i); with
+    a = min(max_len, r) and b = min(max_part, r) its q^r coefficient takes
+    O(a * r) integer steps on series truncated at degree r.
+    """
+    if r < 0:
+        raise ValueError("degree must be nonnegative")
+    a, b = min(max_len, r), min(max_part, r)
+    series = [1] + [0] * r
+    for i in range(1, a + 1):
+        for k in range(r, b + i - 1, -1):  # times 1 - q^(b+i)
+            series[k] -= series[k - b - i]
+        for k in range(i, r + 1):  # over 1 - q^i
+            series[k] += series[k - i]
+    return series[r]
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the strict CLI form "a1,a2,...,ak"; "" is the zero partition."""
     if text == "":

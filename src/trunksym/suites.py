@@ -57,7 +57,10 @@ from .classify import (
     witness_is_valid,
 )
 from .characters import (
+    _power_slice,
+    _series_power,
     kostka,
+    monomials_to_schur,
     pieri_h,
     truncated_tensor_char,
     verify_graded_free_identity,
@@ -476,15 +479,19 @@ def _suite_characters(run: _Run, ls, max_m, max_n, max_r) -> None:
                         q_arrange([a, *tail]),
                         minimal,
                     )
-    # truncated tensor support bound and top-degree rectangle
+    # truncated tensor support bound, the Jacobi-Trudi determinants against
+    # the Kostka inversion of the monomial slice, and the top-degree rectangle
     for l in ls:
         for m in range(1, max_m + 1):
             for n in range(1, max_n + 1):
                 top = m * n * (l - 1)
                 for r in range(min(max_r, top) + 1):
                     expansion = truncated_tensor_char(m, n, l, r)
-                    ok = all(lam.part(1) <= m * (l - 1) for lam in expansion.coeffs)
-                    run.check(ok, ("support-bound", m, n, l, r), "bounded support", expansion.support())
+                    oracle = monomials_to_schur(_power_slice(_series_power(l, m, r), n, r))
+                    ok = expansion == oracle and all(
+                        lam.part(1) <= m * (l - 1) for lam in expansion.coeffs
+                    )
+                    run.check(ok, ("support-bound", m, n, l, r), oracle.to_json(), expansion.to_json())
                 rect = truncated_tensor_char(m, n, l, top)
                 run.check(
                     rect.coeffs == {Partition((m * (l - 1),) * n): 1},

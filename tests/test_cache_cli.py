@@ -1,5 +1,6 @@
 """Cache round trips, integrity rejection, CLI surface and JSON schemas."""
 
+import hashlib
 import json
 from importlib import resources
 from pathlib import Path
@@ -19,6 +20,7 @@ from trunksym.cache import (
     matrix_from_payload,
     matrix_payload,
 )
+from trunksym.characters import CHAR_DEGREE_CAP, CHAR_WORK_CAP, check_char_cost
 from trunksym.classify import is_m_special
 from trunksym.suites import run_suite
 from trunksym import cache as cache_mod
@@ -437,6 +439,29 @@ class TestCli:
         assert main(["char", "--m", "0", "--n", "2", "--l", "2", "--degree", "0"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schur_expansion"] == [{"partition": [], "coeff": 1}]
+
+    def test_char_output_pinned(self, capsys):
+        # the stdout of the Kostka inversion that the determinants replaced
+        assert main(["char", "--m", "4", "--n", "10", "--l", "3", "--degree", "20"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "ec7c4d4e545fdb3915a049dc93aca13162b5071c5e92a93604b617b644472228"
+
+    def test_char_caps(self, capsys):
+        top = str(CHAR_DEGREE_CAP)
+        assert main(["char", "--m", "100", "--n", "1", "--l", "2", "--degree", top]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schur_expansion"] == [{"partition": [CHAR_DEGREE_CAP], "coeff": 1}]
+        above = str(CHAR_DEGREE_CAP + 1)
+        assert main(["char", "--m", "100", "--n", "1", "--l", "2", "--degree", above]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"above the char cap {CHAR_DEGREE_CAP}" in captured.err
+        # the documented reach point is accepted; p(40) labels in 40 variables are not
+        assert check_char_cost(6, 20, 4, 40) <= CHAR_WORK_CAP
+        assert main(["char", "--m", "40", "--n", "40", "--l", "2", "--degree", "40"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"above the cap {CHAR_WORK_CAP}" in captured.err
 
     def test_decomp_matrix_with_cache(self, capsys, tmp_path):
         assert main(

@@ -1,13 +1,18 @@
 """Formal characters: Kostka/Schur conversion, Pieri rules, truncated powers."""
 
+import random
 from functools import lru_cache
+from itertools import permutations, product
+from math import prod
 
 import pytest
 
 from trunksym.partitions import EMPTY, Partition, dominance_leq, partitions_of, q_arrange
+from trunksym import characters
 from trunksym.characters import (
     MonomialChar,
     SchurExpansion,
+    _det,
     _power_slice,
     _series_power,
     frobenius_stretch,
@@ -88,6 +93,15 @@ def _reference_series_power(base: list[int], m: int, top: int) -> list[int]:
     for _ in range(m):
         out = [sum(out[d - k] * c for k, c in enumerate(base[: d + 1])) for d in range(top + 1)]
     return out
+
+
+def _leibniz(matrix) -> int:
+    """Determinant as the signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(matrix))):
+        inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
+        total += (-1) ** inversions * prod(row[c] for row, c in zip(matrix, perm))
+    return total
 
 
 def _reference_power_chars(top, n, max_part=None):
@@ -265,6 +279,31 @@ class TestTruncatedPowers:
         }
 
 
+class TestDeterminant:
+    def test_exhaustive_small(self):
+        assert _det([]) == 1
+        for entries in product(range(-2, 3), repeat=4):
+            matrix = [list(entries[:2]), list(entries[2:])]
+            assert _det(matrix) == _leibniz(matrix), matrix
+        for entries in product((-1, 0, 1), repeat=9):
+            matrix = [list(entries[i : i + 3]) for i in (0, 3, 6)]
+            assert _det(matrix) == _leibniz(matrix), matrix
+
+    def test_random_with_zero_pivots_and_singular(self):
+        rng = random.Random(20240601)
+        for size in range(1, 6):
+            for _ in range(150):
+                matrix = [[rng.choice((0, 0, 0, 1, -1, 2, 7, -30)) for _ in range(size)] for _ in range(size)]
+                matrix[0][0] = 0  # the first pivot needs a row swap
+                if size > 1 and rng.random() < 0.3:
+                    matrix[-1] = [2 * x for x in matrix[0]]  # singular
+                before = [row[:] for row in matrix]
+                assert _det(matrix) == _leibniz(matrix), matrix
+                assert matrix == before
+        assert _det([[0, 1], [1, 0]]) == -1
+        assert _det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+
+
 class TestSeriesSlices:
     """The series construction against the m-fold orbit products it replaced."""
 
@@ -315,6 +354,18 @@ class TestSeriesSlices:
                     for r in range(self.TOP + 1):
                         expected = monomials_to_schur(reference[r])
                         assert truncated_tensor_char(m, n, l, r) == expected, (m, n, l, r)
+
+    def test_tensor_char_matches_kostka_inversion_large(self):
+        # the benchmark's large char slices, up to six variables
+        for m, n, l, r in ((3, 4, 3, 10), (3, 5, 3, 10), (3, 4, 3, 12), (3, 5, 3, 11), (3, 6, 3, 10)):
+            expected = monomials_to_schur(_power_slice(_series_power(l, m, r), n, r))
+            assert truncated_tensor_char(m, n, l, r) == expected, (m, n, l, r)
+
+    def test_support_bound_checked_on_the_series(self, monkeypatch):
+        # g = (1 + x)^2 has degree 2; a term above it must not pass silently
+        monkeypatch.setattr(characters, "_series_power", lambda width, m, top: [1, 2, 1, 1] + [0] * (top - 3))
+        with pytest.raises(RuntimeError, match="support bound"):
+            truncated_tensor_char(2, 2, 2, 3)
 
 
 class TestStretch:

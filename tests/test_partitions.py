@@ -13,6 +13,7 @@ from trunksym.partitions import (
     add_node,
     cells,
     concatenate,
+    count_partitions,
     dagger,
     dominance_leq,
     format_partition,
@@ -397,3 +398,15 @@ class TestEnumeration:
             P((3, 1)),
             P((2, 2)),
         ]
+
+    def test_count_matches_enumeration(self):
+        for deg in range(13):
+            for rows in range(deg + 2):
+                for top in range(deg + 2):
+                    listed = list(partitions_of(deg, max_len=rows, max_part=top))
+                    assert count_partitions(deg, rows, top) == len(listed), (deg, rows, top)
+        assert count_partitions(40, 20, 18) == 31750
+        assert count_partitions(40, 40, 40) == 37338  # p(40)
+        with pytest.raises(ValueError):
+            count_partitions(-1, 2, 2)
+
