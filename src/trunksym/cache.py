@@ -9,7 +9,8 @@ cut out, without encoding the payload again; a file in any other layout
 (pretty-printed, reordered, no final newline) fails that check.  Anything
 that fails the layout, checksum, parsing, schema shape, label checks (every
 row label a weakly decreasing list of positive ints of the header degree,
-every column label a row label), entry checks (plain int indices in
+the rows every partition of the degree in lex-descending order, the columns
+exactly the l-regular rows in that order), entry checks (plain int indices in
 range, plain positive int values, no position twice) or header match is
 rejected with CacheIntegrityError and recomputed, never silently trusted.
 """
@@ -21,9 +22,11 @@ import json
 import os
 import sys
 import weakref
+from itertools import chain
+from operator import eq, itemgetter, le
 from pathlib import Path
 
-from .partitions import Partition
+from .partitions import Partition, count_partitions, count_regular_partitions
 from .fock import DecompositionMatrix, decomposition_matrix
 
 CACHE_GENERATOR = "llt-v1"
@@ -101,17 +104,36 @@ def matrix_from_payload(payload) -> DecompositionMatrix:
                 raise ValueError(f"a row label does not have degree {degree}")
             rows.append(tuple.__new__(Partition, p))  # a partition by the checks above
         rows = tuple(rows)
+        # distinct partitions of the degree, strictly lex-descending, as many
+        # as there are: all of them, in enumeration order
+        if len(rows) != count_partitions(degree, degree, degree) or any(
+            map(le, rows, rows[1:])
+        ):
+            raise ValueError("the rows are not the partitions of the degree in order")
         # every column label is a row label; look it up instead of validating it again
         row_labels = dict(zip(rows, rows))
         cols = tuple(row_labels.get(tuple(p)) for p in payload["cols"])
         if None in cols:
             raise ValueError("a column label is not a row label")
+        # the l-regular rows in order: strictly lex-descending, as many as
+        # there are, none with a part equal to the part l - 1 rows below it
+        # (each label's pairs side by side, in one pass over all labels)
+        l = int(payload["l"])
+        upper = chain.from_iterable(map(itemgetter(slice(None, 1 - l)), cols))
+        lower = chain.from_iterable(map(itemgetter(slice(l - 1, None)), cols))
+        if (
+            len(cols) != count_regular_partitions(degree, l)
+            or any(map(le, cols, cols[1:]))
+            or any(map(eq, upper, lower))
+        ):
+            raise ValueError("the columns are not the l-regular rows in order")
         entries = {}
+        n_rows, n_cols = len(rows), len(cols)
         # JSON true/false read as bool, a subclass of int: require plain ints
         for ri, ci, val in payload["entries"]:
             if type(ri) is not int or type(ci) is not int:
                 raise ValueError(f"bad entry index {[ri, ci]!r}")
-            if not (0 <= ri < len(rows) and 0 <= ci < len(cols)):
+            if not (0 <= ri < n_rows and 0 <= ci < n_cols):
                 raise ValueError(f"entry index out of range {[ri, ci]!r}")
             if type(val) is not int or val <= 0:
                 raise ValueError(f"bad entry value {val!r}")
@@ -119,7 +141,7 @@ def matrix_from_payload(payload) -> DecompositionMatrix:
         if len(entries) != len(payload["entries"]):
             raise ValueError("an entry position is repeated")
         mat = DecompositionMatrix(
-            l=int(payload["l"]),
+            l=l,
             degree=degree,
             rows=rows,
             cols=cols,

@@ -26,7 +26,6 @@ from typing import Iterator, Mapping
 from .partitions import Partition, _check_l, count_partitions, partitions_of
 
 
-@lru_cache(maxsize=None)
 def _orbit(key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Distinct permutations of a multiset, without the n! blowup."""
     out: list[tuple[int, ...]] = []
@@ -147,12 +146,13 @@ class MonomialChar:
         """
         self._compatible(other)
         acc: dict[tuple[int, ...], int] = {}
+        orbits_b = [(_orbit(kb), cb) for kb, cb in other.terms.items()]
         for ka, ca in self.terms.items():
             orbit_a = _orbit(ka)
-            for kb, cb in other.terms.items():
+            for orbit_b, cb in orbits_b:
                 c = ca * cb
                 for pa in orbit_a:
-                    for pb in _orbit(kb):
+                    for pb in orbit_b:
                         vec = tuple(x + y for x, y in zip(pa, pb))
                         if _dominant(vec):
                             acc[vec] = acc.get(vec, 0) + c

@@ -439,6 +439,21 @@ def count_partitions(r: int, max_len: int, max_part: int) -> int:
     return series[r]
 
 
+def count_regular_partitions(r: int, l: int) -> int:
+    """How many l-regular partitions r has: by Glaisher, as many as have no
+    part divisible by l, counted by prod_(l does not divide k) 1/(1 - q^k)
+    in O(r^2) integer steps."""
+    _check_l(l)
+    if r < 0:
+        raise ValueError("degree must be nonnegative")
+    series = [1] + [0] * r
+    for k in range(1, r + 1):
+        if k % l:
+            for n in range(k, r + 1):
+                series[n] += series[n - k]
+    return series[r]
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the strict CLI form "a1,a2,...,ak"; "" is the zero partition."""
     if text == "":

@@ -5,8 +5,8 @@ Each suite walks an exhaustive parameter grid and records failures as
 (input, expected, actual) witnesses.  Iteration orders are fixed and the
 one randomized suite (core removal order) draws from a seeded generator,
 so reports are reproducible; the elapsed field is the only wall-clock
-content.  The suites' own oracle memos (the exhaustive special search,
-the reciprocity decision table) live for one suite run and one l, so a
+content.  The suites' memos (the distinguished-sum search's, the
+reciprocity decision table) live for one suite run and one l, so a
 report's cost does not depend on what ran earlier in the process.
 """
 
@@ -47,8 +47,8 @@ from .mullineux import (
     remove_l_edge,
 )
 from .classify import (
+    _distinguished_search,
     _special_bool,
-    _subtract,
     distinguished_decomposition,
     is_distinguished,
     is_m_special,
@@ -100,61 +100,6 @@ class _Run:
             self.failures.append(
                 {"input": str(inp), "expected": str(expected), "actual": str(actual)}
             )
-
-
-# ---------------------------------------------------------------------------
-# independent existence search for distinguished-sum decompositions
-
-
-def _sub_partitions(lam: Partition) -> list[Partition]:
-    """All eta with lam - eta a partition (eta = 0 included), built row by
-    row: max(0, lam_i - (lam_(i-1) - eta_(i-1))) <= eta_i <= min(eta_(i-1), lam_i)."""
-    rows: list[tuple[int, ...]] = [()]
-    for i, part in enumerate(lam):
-        grown = []
-        for eta in rows:
-            if i:
-                low = max(0, part - (lam[i - 1] - eta[-1]))
-                high = min(eta[-1], part)
-            else:
-                low, high = 0, part
-            grown.extend(eta + (e,) for e in range(low, high + 1))
-        rows = grown
-    return [Partition(eta) for eta in rows]
-
-
-class _SearchMemo:
-    """What `_brute_force_special` has learnt at one l; one suite run owns it."""
-
-    def __init__(self) -> None:
-        self.admissible: dict[Partition, tuple[int, ...]] = {}
-        self.decided: dict[tuple[Partition, int], bool] = {}
-
-
-def _brute_force_special(lam: Partition, m: int, l: int, memo: _SearchMemo) -> bool:
-    """Plain recursive search over all distinguished-summand splittings.
-
-    Each sub-partition eta is tried with every q <= m for which it is
-    q-distinguished; memo must belong to this l."""
-    if m == 0:
-        return lam.degree == 0
-    found = memo.decided.get((lam, m))
-    if found is None:
-        found = False
-        for eta in _sub_partitions(lam):
-            qs = memo.admissible.get(eta)
-            if qs is None:
-                qs = memo.admissible[eta] = tuple(
-                    q for q in range(1, l) if is_distinguished(eta, q, l)
-                )
-            qs = [q for q in qs if q <= m]
-            if qs:
-                rest = _subtract(lam, eta)
-                if any(_brute_force_special(rest, m - q, l, memo) for q in qs):
-                    found = True
-                    break
-        memo.decided[(lam, m)] = found
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -239,25 +184,19 @@ def _suite_phi_bijection(run: _Run, max_l, max_degree) -> None:
 
 def _suite_special_decomposition(run: _Run, ls, max_m, max_degree) -> None:
     for l in ls:
-        memo = _SearchMemo()
+        memo: dict = {}
         for deg in range(max_degree + 1):
             for lam in partitions_of(deg):
                 for m in range(1, max_m + 1):
                     verdict = is_m_special(lam, m, l)
-                    brute = _brute_force_special(lam, m, l, memo)
-                    # is_m_special built its witness with this same deterministic call
-                    witness = (
-                        verdict.witness
-                        if verdict.special
-                        else distinguished_decomposition(lam, m, l)
-                    )
-                    ok = verdict.special == brute == (witness is not None)
+                    found = _distinguished_search(lam, m, l, memo)
                     run.check(
-                        ok,
+                        verdict.special == (found is not None),
                         (l, m, lam),
-                        f"classifier/search agreement ({brute})",
-                        (verdict.special, witness is not None),
+                        f"classifier/search agreement ({found is not None})",
+                        verdict.special,
                     )
+                    witness = verdict.witness if verdict.special else found
                     if witness is None:
                         continue
                     run.check(

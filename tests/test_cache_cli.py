@@ -312,6 +312,40 @@ class TestPayloadValidation:
         with pytest.raises(CacheIntegrityError, match="malformed payload"):
             matrix_from_payload(hand_payload(cols=[[3], 21]))
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[[2, 1], [3], [1, 1, 1]], [[3], [2, 1], [2, 1]], [[3], [2, 1]]],
+        ids=["out-of-order", "repeated", "missing"],
+    )
+    def test_rows_not_all_partitions_in_order_rejected(self, rows):
+        with pytest.raises(CacheIntegrityError, match="rows are not the partitions"):
+            matrix_from_payload(hand_payload(rows=rows))
+
+    @pytest.mark.parametrize(
+        "cols",
+        [[[2, 1], [3]], [[3]], [[3], [2, 1], [1, 1, 1]], [[3], [1, 1, 1]]],
+        ids=["out-of-order", "missing", "not-regular", "regular-swapped-out"],
+    )
+    def test_columns_not_the_regular_rows_in_order_rejected(self, cols):
+        with pytest.raises(CacheIntegrityError, match="columns are not the l-regular rows"):
+            matrix_from_payload(hand_payload(cols=cols))
+
+    def test_reordered_file_rejected_and_rebuilt(self, tmp_path):
+        # reversed rows, entries re-indexed and the checksum recomputed: a
+        # self-consistent file whose stdout would not be a fresh build's
+        path = cache_put(tmp_path, decomposition_matrix(6, 2))
+        fresh = path.read_bytes()
+        payload = json.loads(fresh)
+        last = len(payload["rows"]) - 1
+        payload["rows"].reverse()
+        payload["entries"] = sorted([last - ri, ci, v] for ri, ci, v in payload["entries"])
+        payload["checksum"] = cache_mod._payload_checksum(payload)
+        path.write_text(canonical_json(payload) + "\n")
+        with pytest.raises(CacheIntegrityError, match="rows are not the partitions"):
+            cache_get(tmp_path, 2, 6)
+        assert main(["decomp-matrix", "--l", "2", "--degree", "6", "--cache", str(tmp_path)]) == 0
+        assert path.read_bytes() == fresh
+
     def test_rejected_file_is_recomputed(self, tmp_path, capsys):
         payload = hand_payload(entries=[[0, 0, 1], [1, 1, 1], [2, 0, 1], [-1, 0, 7]])
         payload["checksum"] = cache_mod._payload_checksum(payload)

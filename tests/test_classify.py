@@ -1,5 +1,7 @@
 """Distinguished partitions, the special/good classifiers and their laws."""
 
+import hashlib
+import json
 from functools import lru_cache
 
 import pytest
@@ -18,6 +20,8 @@ from trunksym.partitions import (
 )
 from trunksym.mullineux import mullineux_length
 from trunksym.classify import (
+    _distinguished_search,
+    _sub_partitions,
     distinguished_decomposition,
     enumerate_special,
     is_distinguished,
@@ -27,7 +31,6 @@ from trunksym.classify import (
     restricted_part_mull_length,
     witness_is_valid,
 )
-from trunksym.suites import _brute_force_special, _SearchMemo, _sub_partitions
 
 P = Partition
 
@@ -61,7 +64,8 @@ def oracle_special(lam, m, l):
 
 
 class TestSuiteOracle:
-    """The special-decomposition suite's search against the plain references above."""
+    """The distinguished-sum search, which the special-decomposition suite
+    runs against the classifier, against the plain references above."""
 
     def test_sub_partitions_match_box_generate_and_test(self):
         for deg in range(13):
@@ -78,11 +82,12 @@ class TestSuiteOracle:
 
     def test_brute_force_matches_oracle(self):
         for l in (2, 3, 5):
-            memo = _SearchMemo()
+            memo = {}
             for deg in range(11):
                 for lam in partitions_of(deg):
                     for m in range(1, 5):
-                        assert _brute_force_special(lam, m, l, memo) == oracle_special(lam, m, l), (l, m, lam)
+                        found = _distinguished_search(lam, m, l, memo) is not None
+                        assert found == oracle_special(lam, m, l), (l, m, lam)
 
 
 class TestDistinguished:
@@ -200,6 +205,22 @@ class TestWitnesses:
                         assert (witness is not None) == expected
                         if witness is not None:
                             assert witness_is_valid(lam, m, l, witness)
+
+    def test_verdicts_and_witnesses_are_pinned(self):
+        # 7,616 points: l 2..5, degree 0..12 in enumeration order, m 0..6;
+        # any change of verdict, rule, witness or search order shows here
+        digest = hashlib.sha256()
+        points = 0
+        for l in (2, 3, 4, 5):
+            for deg in range(13):
+                for lam in partitions_of(deg):
+                    for m in range(7):
+                        verdict = is_m_special(lam, m, l).to_json()
+                        line = json.dumps([l, m, list(lam), verdict], sort_keys=True) + "\n"
+                        digest.update(line.encode())
+                        points += 1
+        assert points == 7616
+        assert digest.hexdigest() == "0837dae489feced9a61b6b49d849f176f4960b122ea33bcac2a797a95d9b8a8a"
 
     def test_constructive_restricted_budgets(self):
         for l in (2, 3, 5):

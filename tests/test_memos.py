@@ -9,7 +9,7 @@ from pathlib import Path
 
 import trunksym
 
-UNBOUNDED_ALLOWED = {"characters._orbit", "classify._assign"}
+UNBOUNDED_ALLOWED = set()
 
 
 def _is_unbounded_cache(decorator: ast.expr) -> bool:

@@ -14,6 +14,7 @@ from trunksym.partitions import (
     cells,
     concatenate,
     count_partitions,
+    count_regular_partitions,
     dagger,
     dominance_leq,
     format_partition,
@@ -410,3 +411,12 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             count_partitions(-1, 2, 2)
 
+    def test_regular_count_matches_enumeration(self):
+        for l in (2, 3, 5):
+            for deg in range(16):
+                listed = [lam for lam in partitions_of(deg) if is_regular(lam, l)]
+                assert count_regular_partitions(deg, l) == len(listed), (deg, l)
+        with pytest.raises(ValueError):
+            count_regular_partitions(-1, 2)
+        with pytest.raises(ValueError):
+            count_regular_partitions(4, 1)
