@@ -350,22 +350,19 @@ def pieri_e(lam: Partition, r: int, n: int) -> SchurExpansion:
 
 
 def _series_power(width: int, m: int, top: int) -> list[int]:
-    """Coefficients of x^0, ..., x^top in (1 + x + ... + x^(width-1))^m.
+    """Coefficients of x^0, ..., x^top in g = (1 + x + ... + x^(width-1))^m.
 
-    Closed form c_k = sum_j (-1)^j C(m, j) C(k - j*width + m - 1, k - j*width),
-    from (1 - x^width)^m (1 - x)^(-m): at most top/width + 1 big-integer
-    terms per coefficient, whatever m is.  width > top gives the full
-    series (1 - x)^(-m).
+    With h = 1 + x + ... + x^(width-1), g = h^m satisfies h g' = m h' g,
+    whose x^k coefficient gives the first-order recurrence
+    (k+1) g_(k+1) = sum_(i=1..min(width-1, k+1)) (m*i - (k+1-i)) g_(k+1-i),
+    divided exactly: O(top * width) big-integer steps, whatever m is.
+    width > top gives the full series (1 - x)^(-m).
     """
-    if m == 0:
-        return [1] + [0] * top
-    return [
-        sum(
-            (-1) ** j * comb(m, j) * comb(k - j * width + m - 1, k - j * width)
-            for j in range(min(m, k // width) + 1)
-        )
-        for k in range(top + 1)
-    ]
+    g = [1]
+    for k1 in range(1, top + 1):  # k1 = k + 1
+        acc = sum((m * i - (k1 - i)) * g[k1 - i] for i in range(1, min(width - 1, k1) + 1))
+        g.append(acc // k1)
+    return g
 
 
 def _power_slice(series: list[int], n: int, r: int) -> MonomialChar:

@@ -7,7 +7,8 @@ matrices and the cross-check suites.  Partitions are written "4,2,1"
 property check failed (with witnesses in the report), 2 usage or
 precondition errors, 3 an internal invariant violation (RuntimeError),
 reported as one "internal error: ..." line that names the input.
-Progress and warnings go to stderr only.
+Progress and warnings go to stderr only.  Each handler imports the
+modules it runs, so a call loads only what its verb needs.
 """
 
 from __future__ import annotations
@@ -17,29 +18,19 @@ import json
 import shlex
 import sys
 
-from . import cache as cache_mod
-from .fock import column_matrix
-from .partitions import (
-    format_partition,
-    is_restricted,
-    l_core,
-    parse_partition,
-    regularity,
-    residue_content,
-    restricted_decompose,
-    transpose,
+# `--suite` choices, so that building the parser imports no suite code;
+# tests pin this to suites.suite_names()
+SUITE_NAMES = (
+    "mullineux-involution",
+    "llt-mullineux-crosscheck",
+    "phi-bijection",
+    "special-decomposition",
+    "oracle-mull-length",
+    "reciprocity-removal",
+    "edge-structure",
+    "characters",
+    "core-residues",
 )
-from .mullineux import (
-    is_edge_l_connected,
-    l_edge,
-    mullineux,
-    mullineux_components,
-    mullineux_length,
-    mullineux_symbol,
-)
-from .classify import enumerate_special, is_m_good, is_m_special
-from .characters import check_char_cost, truncated_tensor_char
-from .suites import SUITES, run_suite, suite_names
 
 
 def _dump(payload) -> None:
@@ -51,6 +42,22 @@ def _parts_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_info(args) -> int:
+    from .mullineux import (
+        is_edge_l_connected,
+        l_edge,
+        mullineux,
+        mullineux_components,
+        mullineux_length,
+    )
+    from .partitions import (
+        l_core,
+        parse_partition,
+        regularity,
+        residue_content,
+        restricted_decompose,
+        transpose,
+    )
+
     lam = parse_partition(args.parts)
     l = args.l
     regular, restricted = regularity(lam, l)
@@ -79,6 +86,9 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_mull(args) -> int:
+    from .mullineux import mullineux, mullineux_symbol
+    from .partitions import parse_partition
+
     lam = parse_partition(args.parts)
     symbol = mullineux_symbol(lam, args.l)
     _dump(
@@ -93,12 +103,17 @@ def _cmd_mull(args) -> int:
 
 
 def _cmd_core(args) -> int:
+    from .partitions import l_core, parse_partition
+
     lam = parse_partition(args.parts)
     _dump({"partition": list(lam), "l": args.l, "core": list(l_core(lam, args.l))})
     return 0
 
 
 def _cmd_special(args) -> int:
+    from .classify import is_m_special
+    from .partitions import parse_partition
+
     lam = parse_partition(args.parts)
     verdict = is_m_special(lam, args.m, args.l)
     payload = verdict.to_json()
@@ -109,9 +124,17 @@ def _cmd_special(args) -> int:
 
 
 def _cmd_good(args) -> int:
+    from .classify import is_m_good
+    from .partitions import is_restricted, parse_partition
+
     lam = parse_partition(args.parts)
     oracle = None
     if args.oracle and is_restricted(lam, args.l):
+        from . import cache as cache_mod
+        from .fock import column_matrix
+        from .mullineux import mullineux
+        from .partitions import transpose
+
         # only restricted labels consult the oracle; without a readable
         # cache file, build just the column the verdict reads
         oracle = cache_mod.load_or_compute(
@@ -126,14 +149,29 @@ def _cmd_good(args) -> int:
 
 
 def _cmd_enumerate_special(args) -> int:
+    from .classify import enumerate_special
+    from .partitions import format_partition
+
     for lam in enumerate_special(args.m, args.l, args.degree, restricted_only=args.restricted):
         print(format_partition(lam))
     return 0
 
 
 def _cmd_char(args) -> int:
+    from .characters import check_char_cost, truncated_tensor_char
+
     check_char_cost(args.m, args.n, args.l, args.degree)
     expansion = truncated_tensor_char(args.m, args.n, args.l, args.degree)
+    # json.dumps would refuse such a coefficient with a message naming no input
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    biggest = max(map(abs, expansion.coeffs.values()), default=0)
+    # 8^limit < 10^limit: below 3 * limit bits, skip building 10^limit
+    if limit and biggest.bit_length() > 3 * limit and biggest >= 10**limit:
+        raise ValueError(
+            f"char --m <{len(str(args.m))}-digit integer> --n {args.n} --l {args.l} "
+            f"--degree {args.degree}: a Schur coefficient has more than {limit} digits, "
+            "Python's limit for printing an integer"
+        )
     _dump(
         {
             "m": args.m,
@@ -147,6 +185,8 @@ def _cmd_char(args) -> int:
 
 
 def _cmd_decomp_matrix(args) -> int:
+    from . import cache as cache_mod
+
     mat = cache_mod.load_or_compute(
         args.l,
         args.degree,
@@ -160,7 +200,9 @@ def _cmd_decomp_matrix(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    names = suite_names() if args.suite == "all" else [args.suite]
+    from .suites import SUITES, run_suite
+
+    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     overrides = {
         "ls": tuple(int(x) for x in args.l.split(",")) if args.l else None,
         "max_degree": args.max_degree,
@@ -260,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_decomp_matrix)
 
     p = sub.add_parser("crosscheck", help="run an invariant suite (or all)")
-    p.add_argument("--suite", required=True, choices=suite_names() + ["all"])
+    p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     p.add_argument("--l", default=None, help='comma list of characteristics, e.g. "2,3"')
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--max-m", type=int, default=None)

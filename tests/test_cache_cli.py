@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from trunksym.cache import (
 )
 from trunksym.characters import CHAR_DEGREE_CAP, CHAR_WORK_CAP, check_char_cost
 from trunksym.classify import is_m_special
-from trunksym.suites import run_suite
+from trunksym.suites import run_suite, suite_names
 from trunksym import cache as cache_mod
 from trunksym import cli
 from trunksym.cli import main
@@ -497,6 +498,26 @@ class TestCli:
         assert captured.out == ""
         assert f"above the cap {CHAR_WORK_CAP}" in captured.err
 
+    def test_char_coefficient_above_digit_limit(self, capsys):
+        # C(10^3000, 2) has 6000 digits, above Python's default 4300-digit
+        # limit for converting an integer to a string
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            m = "1" + "0" * 3000
+            assert main(["char", "--m", m, "--n", "1", "--l", "2", "--degree", "2"]) == 2
+        finally:
+            sys.set_int_max_str_digits(default)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: char --m <3001-digit integer> --n 1 --l 2 --degree 2: a Schur coefficient "
+            "has more than 4300 digits, Python's limit for printing an integer\n"
+        )
+
+    def test_suite_choices_pinned(self):
+        assert cli.SUITE_NAMES == tuple(suite_names())
+
     def test_decomp_matrix_with_cache(self, capsys, tmp_path):
         assert main(
             ["decomp-matrix", "--l", "2", "--degree", "2", "--cache", str(tmp_path)]
@@ -526,7 +547,7 @@ class TestCli:
         def broken(lam, m, l):
             raise RuntimeError("invariant violated")
 
-        monkeypatch.setattr(cli, "is_m_special", broken)
+        monkeypatch.setattr("trunksym.classify.is_m_special", broken)
         assert main(["special", "4,2", "--l", "3", "--m", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
