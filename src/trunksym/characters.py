@@ -1,5 +1,5 @@
 """Formal characters: orbit-compressed symmetric polynomials, Schur and
-Kostka conversion, Pieri rules, truncated power characters and the graded
+Kostka conversion, the Pieri rule for h, power characters and the graded
 freeness identity relating full and truncated tensor characters.
 
 A symmetric polynomial in n variables is stored on dominant (weakly
@@ -19,7 +19,6 @@ per Schur label.  Kostka numbers and the Kostka inversion
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import comb, prod
 from typing import Iterator, Mapping
 
@@ -84,23 +83,6 @@ class MonomialChar:
     @classmethod
     def one(cls, n: int) -> "MonomialChar":
         return cls(n, {(0,) * n: 1})
-
-    @classmethod
-    def from_monomials(cls, n: int, raw: Mapping[tuple[int, ...], int]) -> "MonomialChar":
-        """Build from raw monomial data, verifying symmetry orbit by orbit."""
-        groups: dict[tuple[int, ...], int] = {}
-        cleaned = {tuple(k): v for k, v in raw.items() if v}
-        for key, coef in cleaned.items():
-            if len(key) != n:
-                raise ValueError(f"exponent vector {key} does not have length {n}")
-            rep = tuple(sorted(key, reverse=True))
-            groups.setdefault(rep, coef)
-        for rep in list(groups):
-            vals = {cleaned.get(perm, 0) for perm in _orbit(rep)}
-            if len(vals) != 1:
-                raise ValueError("not symmetric")
-            groups[rep] = vals.pop()
-        return cls(n, groups)
 
     # -- queries -----------------------------------------------------------
 
@@ -198,20 +180,6 @@ class SchurExpansion:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
-        if self.n != other.n:
-            raise ValueError("variable counts differ")
-        acc = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            acc[k] = acc.get(k, 0) + c
-        return SchurExpansion(self.n, acc)
-
-    def to_monomials(self) -> MonomialChar:
-        out = MonomialChar.zero(self.n)
-        for lam, c in self.coeffs.items():
-            out = out + schur_to_monomials(lam, self.n).scale(c)
-        return out
-
     def to_json(self) -> list[dict]:
         return [
             {"partition": list(lam), "coeff": self.coeffs[lam]}
@@ -298,7 +266,7 @@ def monomials_to_schur(chi: MonomialChar) -> SchurExpansion:
 
 
 # ---------------------------------------------------------------------------
-# Pieri rules
+# the Pieri rule
 
 
 def pieri_h(lam: Partition, a: int, n: int) -> SchurExpansion:
@@ -322,26 +290,6 @@ def pieri_h(lam: Partition, a: int, n: int) -> SchurExpansion:
             rec(i + 1, remaining - (v - low), prefix + (v,))
 
     rec(1, a, ())
-    return SchurExpansion(n, found)
-
-
-def pieri_e(lam: Partition, r: int, n: int) -> SchurExpansion:
-    """Multiply by an elementary symmetric function: add a vertical strip."""
-    lam = Partition(lam)
-    if len(lam) > n:
-        raise ValueError(f"{lam} has more than n={n} parts")
-    if r < 0:
-        raise ValueError("strip size must be nonnegative")
-    found: dict[Partition, int] = {}
-    limit = min(n, len(lam) + r)
-    for chosen in combinations(range(1, limit + 1), r):
-        grown = set(chosen)
-        parts = [lam.part(i) + (1 if i in grown else 0) for i in range(1, limit + 1)]
-        try:
-            mu = Partition(parts)
-        except ValueError:
-            continue
-        found[mu] = 1
     return SchurExpansion(n, found)
 
 
@@ -370,21 +318,6 @@ def _power_slice(series: list[int], n: int, r: int) -> MonomialChar:
     coefficient of mu is prod_i series[mu_i], so no orbit is expanded."""
     keys = (mu.padded(n) for mu in partitions_of(r, max_len=n, max_part=len(series) - 1))
     return MonomialChar(n, {key: prod(series[e] for e in key) for key in keys})
-
-
-def truncated_power_char(r: int, n: int, l: int) -> MonomialChar:
-    """Degree-r character of the truncated symmetric power: exponents < l."""
-    _check_l(l)
-    if r < 0:
-        raise ValueError("degree must be nonnegative")
-    return _power_slice([1] * l, n, r)
-
-
-def full_power_char(r: int, n: int) -> MonomialChar:
-    """Degree-r character of the full symmetric power (all monomials)."""
-    if r < 0:
-        raise ValueError("degree must be nonnegative")
-    return _power_slice([1] * (r + 1), n, r)
 
 
 def _det(matrix: list[list[int]]) -> int:

@@ -37,6 +37,21 @@ def _dump(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _int_option(text: str) -> int:
+    """int() for integer options, refusing a value above Python's limit for
+    reading an integer by its digit count rather than echoing it whole."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = sum(map(str.isdigit, text))
+    if limit and digits > limit:
+        raise argparse.ArgumentTypeError(
+            f"a {digits}-digit integer is above Python's {limit}-digit limit for reading an integer"
+        )
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parts_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("parts", help='partition as "a1,a2,...,ak" ("" for zero)')
 
@@ -251,51 +266,51 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="partition facts at one quantum characteristic")
     _parts_argument(p)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_int_option, required=True)
     p.set_defaults(fn=_cmd_info)
 
     p = sub.add_parser("mull", help="Mullineux conjugate and symbol")
     _parts_argument(p)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_int_option, required=True)
     p.set_defaults(fn=_cmd_mull)
 
     p = sub.add_parser("core", help="l-core")
     _parts_argument(p)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_int_option, required=True)
     p.set_defaults(fn=_cmd_core)
 
     p = sub.add_parser("special", help="m-special classifier")
     _parts_argument(p)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--l", type=_int_option, required=True)
+    p.add_argument("--m", type=_int_option, required=True)
     p.add_argument("--witness", action="store_true", help="include a decomposition witness")
     p.set_defaults(fn=_cmd_special)
 
     p = sub.add_parser("good", help="m-good classifier (tri-state)")
     _parts_argument(p)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--l", type=_int_option, required=True)
+    p.add_argument("--m", type=_int_option, required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check with the decomposition matrix")
     p.add_argument("--cache", default=None, help="matrix cache directory")
     p.set_defaults(fn=_cmd_good)
 
     p = sub.add_parser("enumerate-special", help="all m-special partitions of a degree")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--l", type=_int_option, required=True)
+    p.add_argument("--m", type=_int_option, required=True)
+    p.add_argument("--degree", type=_int_option, required=True)
     p.add_argument("--restricted", action="store_true", help="restricted partitions only")
     p.set_defaults(fn=_cmd_enumerate_special)
 
     p = sub.add_parser("char", help="Schur expansion of a truncated tensor character slice")
-    p.add_argument("--m", type=int, required=True, help="tensor factors")
-    p.add_argument("--n", type=int, required=True, help="variables")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--m", type=_int_option, required=True, help="tensor factors")
+    p.add_argument("--n", type=_int_option, required=True, help="variables")
+    p.add_argument("--l", type=_int_option, required=True)
+    p.add_argument("--degree", type=_int_option, required=True)
     p.set_defaults(fn=_cmd_char)
 
     p = sub.add_parser("decomp-matrix", help="decomposition matrix for one degree")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--l", type=_int_option, required=True)
+    p.add_argument("--degree", type=_int_option, required=True)
     p.add_argument("--cache", default=None, help="matrix cache directory")
     p.add_argument("--force", action="store_true", help="recompute even when cached")
     p.add_argument("--unsafe-large", action="store_true", help="ignore the degree cap")
@@ -304,14 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck", help="run an invariant suite (or all)")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     p.add_argument("--l", default=None, help='comma list of characteristics, e.g. "2,3"')
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--max-m", type=int, default=None)
-    p.add_argument("--max-l", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--max-r", type=int, default=None)
-    p.add_argument("--oracle-degree", type=int, default=None)
-    p.add_argument("--orders", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--max-degree", type=_int_option, default=None)
+    p.add_argument("--max-m", type=_int_option, default=None)
+    p.add_argument("--max-l", type=_int_option, default=None)
+    p.add_argument("--max-n", type=_int_option, default=None)
+    p.add_argument("--max-r", type=_int_option, default=None)
+    p.add_argument("--oracle-degree", type=_int_option, default=None)
+    p.add_argument("--orders", type=_int_option, default=None)
+    p.add_argument("--seed", type=_int_option, default=None)
     p.add_argument("--cache", default=None, help="matrix cache directory")
     p.add_argument("--json", default=None, help="write the report to this path")
     p.set_defaults(fn=_cmd_crosscheck)

@@ -10,10 +10,12 @@ a label's parts finds its addable and removable i-rows (the node in row
 t, column c has residue (c - t) mod l), and a new label is checked only
 at the rows that changed, each against the row above.
 
-LaurentPoly and FockVector values are kept in normal form: no zero
-coefficient, no empty polynomial, Partition keys of one degree.  The
-public constructors validate and normalise; the arithmetic here builds
-results that are already normal and wraps them without a second pass.
+A FockVector maps Partition labels of one degree to Laurent polynomials
+in v stored as plain {exponent: coefficient} dicts, kept in normal form:
+no zero coefficient and no empty dict, so equal polynomials are equal
+dicts.  The FockVector constructor validates and normalises; the kernel
+here builds dicts that are already normal and keeps them as they are.
+A dict reachable from two vectors is never changed in place.
 
 Canonical basis columns are built by induction on degree.  The column
 G(mu) of l-regular mu starts from f_i^(n) G(mu-), where mu- is mu without
@@ -71,162 +73,62 @@ def _accumulate(out: dict[int, int], c: Mapping[int, int], shift: int, scale: in
 def _subtract_into(out: dict, poly: Mapping[int, int], other: Mapping) -> None:
     """out -= poly * other in place, for Fock-vector entry tables of one degree.
 
-    Touched labels get a new LaurentPoly, so polynomials that out shares
+    Touched labels get a new dict, so coefficient dicts that out shares
     with another vector are never changed; labels that cancel are deleted,
     so out stays in normal form.
     """
     for lam, p in other.items():
         cur = out.get(lam)
-        acc = dict(cur.c) if cur is not None else {}
+        acc = dict(cur) if cur is not None else {}
         for e, a in poly.items():
-            _accumulate(acc, p.c, e, -a)
+            _accumulate(acc, p, e, -a)
         if acc:
-            out[lam] = LaurentPoly._wrap(acc)
+            out[lam] = acc
         elif cur is not None:
             del out[lam]
 
 
-class LaurentPoly:
-    """Sparse integer Laurent polynomial in one variable v."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        self.c: dict[int, int] = {}
-        for e, a in (coeffs or {}).items():
-            if a:
-                self.c[int(e)] = self.c.get(int(e), 0) + a
-                if not self.c[int(e)]:
-                    del self.c[int(e)]
-
-    @classmethod
-    def _wrap(cls, c: dict[int, int]) -> "LaurentPoly":
-        """Take ownership of a dict already in normal form (int exponents,
-        no zero coefficient) without copying or checking it."""
-        out = cls.__new__(cls)
-        out.c = c
-        return out
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def v(cls, k: int) -> "LaurentPoly":
-        return cls({k: 1})
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentPoly) and self.c == other.c
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.c)
-        _accumulate(out, other.c, 0, 1)
-        return LaurentPoly._wrap(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._wrap({e: -a for e, a in self.c.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.c)
-        _accumulate(out, other.c, 0, -1)
-        return LaurentPoly._wrap(out)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e, a in self.c.items():
-            _accumulate(out, other.c, e, a)
-        return LaurentPoly._wrap(out)
-
-    def bar(self) -> "LaurentPoly":
-        """v -> v^-1."""
-        return LaurentPoly._wrap({-e: a for e, a in self.c.items()})
-
-    def coefficient(self, e: int) -> int:
-        return self.c.get(e, 0)
-
-    def evaluate_one(self) -> int:
-        return sum(self.c.values())
-
-    def __repr__(self) -> str:
-        if not self.c:
-            return "0"
-        bits = []
-        for e in sorted(self.c):
-            a = self.c[e]
-            if e == 0:
-                bits.append(f"{a}")
-            elif e == 1:
-                bits.append(f"{a}*v")
-            else:
-                bits.append(f"{a}*v^{e}")
-        return " + ".join(bits)
-
-
 class FockVector:
-    """Finitely supported Partition -> LaurentPoly table, degree homogeneous."""
+    """Finitely supported Partition -> {exponent: coefficient} table,
+    degree homogeneous."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Mapping[Partition, LaurentPoly] | None = None):
-        self.entries: dict[Partition, LaurentPoly] = {}
+    def __init__(self, entries: Mapping[Partition, Mapping[int, int]] | None = None):
+        self.entries: dict[Partition, dict[int, int]] = {}
         degree = None
         for lam, poly in (entries or {}).items():
-            if not poly:
+            coeffs = {int(e): a for e, a in poly.items() if a}
+            if not coeffs:
                 continue
             lam = Partition(lam)
             if degree is None:
                 degree = lam.degree
             elif lam.degree != degree:
                 raise ValueError("mixed degrees in one Fock vector")
-            self.entries[lam] = poly
+            self.entries[lam] = coeffs
 
     @classmethod
-    def _wrap(cls, entries: dict[Partition, LaurentPoly]) -> "FockVector":
+    def _wrap(cls, entries: dict[Partition, dict[int, int]]) -> "FockVector":
         """Take ownership of a dict already in normal form (Partition keys
-        of one degree, no zero polynomial) without copying or checking it."""
+        of one degree, no zero coefficient, no empty dict) without copying
+        or checking it."""
         out = cls.__new__(cls)
         out.entries = entries
         return out
 
     @classmethod
     def basis(cls, lam: Partition) -> "FockVector":
-        return cls({Partition(lam): LaurentPoly.one()})
+        return cls({Partition(lam): {0: 1}})
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def coefficient(self, lam: Partition) -> LaurentPoly:
-        return self.entries.get(Partition(lam), LaurentPoly.zero())
-
-    def support(self) -> list[Partition]:
-        return sorted(self.entries)
-
-    def subtract_scaled(self, poly: LaurentPoly, other: "FockVector") -> "FockVector":
+    def subtract_scaled(self, poly: Mapping[int, int], other: "FockVector") -> "FockVector":
         """self - poly * other."""
         if self.entries and other.entries:
             if next(iter(self.entries)).degree != next(iter(other.entries)).degree:
                 raise ValueError("mixed degrees in one Fock vector")
         out = dict(self.entries)
-        _subtract_into(out, poly.c, other.entries)
+        _subtract_into(out, poly, other.entries)
         return FockVector._wrap(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FockVector) and self.entries == other.entries
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        bits = [f"({p!r})|{list(lam)}>" for lam, p in sorted(self.entries.items())]
-        return " + ".join(bits) if bits else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +150,7 @@ def f_apply(i: int, k: int, x: FockVector, l: int) -> FockVector:
     # the t-th node of S (top row first) has t nodes of S above it
     in_s_above = k * (k - 1) // 2
     out: dict[Partition, dict[int, int]] = {}
-    for lam, coef in x.entries.items():
-        coeffs = coef.c
+    for lam, coeffs in x.entries.items():
         # one scan of the parts; the node in 0-based row t, column c has
         # residue (c - t) mod l, so row t's addable node has residue
         # (lam_t - t) mod l and its removable node (lam_t - t - 1) mod l
@@ -289,16 +190,13 @@ def f_apply(i: int, k: int, x: FockVector, l: int) -> FockVector:
                     acc[e] = a
                 else:
                     del acc[e]
-    return FockVector._wrap({mu: LaurentPoly._wrap(c) for mu, c in out.items() if c})
+            if not acc:
+                del out[mu]
+    return FockVector._wrap(out)
 
 
 # ---------------------------------------------------------------------------
 # first approximation and canonical columns
-
-
-def ladder_index(node, l: int) -> int:
-    i, j = node
-    return i + (l - 1) * (j - 1)
 
 
 def ladder_monomial(mu: Partition, l: int) -> FockVector:
@@ -314,13 +212,13 @@ def ladder_monomial(mu: Partition, l: int) -> FockVector:
     if not is_regular(mu, l):
         raise ValueError("not l-regular")
     groups: dict[int, list] = {}
-    for cell in cells(mu):
-        groups.setdefault(ladder_index(cell, l), []).append(cell)
+    for i, j in cells(mu):  # the node in row i, column j lies on ladder i + (l-1)(j-1)
+        groups.setdefault(i + (l - 1) * (j - 1), []).append((i, j))
     vec = FockVector.basis(EMPTY)
     for idx in sorted(groups):
         nodes = groups[idx]
         vec = f_apply(node_residue(nodes[0], l), len(nodes), vec, l)
-    if vec.coefficient(mu) != LaurentPoly.one():
+    if vec.entries.get(mu) != {0: 1}:
         raise RuntimeError(f"ladder monomial of {mu} has a bad leading term")
     for nu in vec.entries:
         if nu != mu and not dominance_leq(nu, mu):
@@ -374,8 +272,7 @@ def canonical_column(
         return FockVector.basis(EMPTY)
     below, i, n = _top_ladder(mu, l)
     vec = f_apply(i, n, columns[below], l).entries  # fresh, reduced in place
-    lead = vec.get(mu)
-    if lead is None or lead.c != {0: 1}:
+    if vec.get(mu) != {0: 1}:
         raise RuntimeError(f"start vector of {mu} has a bad leading term")
     # labels of vec share mu's degree (vec is homogeneous and holds mu), so
     # nu is dominance-below mu iff its partial sums stay under mu's; map
@@ -389,7 +286,7 @@ def canonical_column(
     heap = [
         (tuple(map(neg, nu)), nu)
         for nu, c in vec.items()
-        if nu != mu and min(c.c) <= 0
+        if nu != mu and min(c) <= 0
     ]
     heapify(heap)
     queued = {nu for _, nu in heap}
@@ -398,13 +295,13 @@ def canonical_column(
     while heap:
         _, nu = heappop(heap)
         c = vec.get(nu)
-        if c is None or min(c.c) > 0:
+        if c is None or min(c) > 0:
             continue
         rounds += 1
         if rounds > 100_000:
             raise RuntimeError("canonical column reduction failed to terminate")
         dd: dict[int, int] = {}  # normal form: each exponent set once
-        for e, a in c.c.items():
+        for e, a in c.items():
             if e < 0:
                 dd[e] = dd[-e] = a
             elif e == 0:
@@ -429,7 +326,7 @@ def canonical_column(
         # labels of the start vector passed the same check above
         if nu not in start and not all(map(le, accumulate(nu), bounds)):
             raise RuntimeError(f"canonical column of {mu} has support above it")
-        if min(p.c) < 1 or min(p.c.values()) < 0:
+        if min(p) < 1 or min(p.values()) < 0:
             raise RuntimeError(
                 f"positivity violation in column {mu} at row {nu}: {p!r}"
             )
@@ -483,7 +380,7 @@ def column_cap(l: int) -> int:
     return COLUMN_CAPS.get(l, 36)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DecompositionMatrix:
     """Rows all partitions of the degree, columns the l-regular ones (for
     column_matrix, only those that one column needs), entries the
@@ -507,23 +404,13 @@ class DecompositionMatrix:
         mu = Partition(mu)
         return sorted(lam for (lam, col) in self.entries if col == mu)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DecompositionMatrix)
-            and self.l == other.l
-            and self.degree == other.degree
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
 
 def _matrix(l: int, r: int, rows, cols, table: ColumnTable) -> DecompositionMatrix:
     """The degree-r matrix of the columns cols, read from table at v = 1."""
     entries: dict[tuple[Partition, Partition], int] = {}
     for mu in cols:
         for lam, poly in table[mu].entries.items():
-            val = poly.evaluate_one()
+            val = sum(poly.values())
             if val:
                 entries[(lam, mu)] = val
     return DecompositionMatrix(l=l, degree=r, rows=rows, cols=cols, entries=entries)

@@ -181,16 +181,6 @@ def remove_node(lam: Partition, node: Node) -> Partition:
     return Partition(lam[: i - 1] + (lam[i - 1] - 1,) + lam[i:])
 
 
-def add_node(lam: Partition, node: Node) -> Partition:
-    lam = Partition(lam)
-    if node not in addable_nodes(lam):
-        raise ValueError(f"{node} is not an addable node of {lam}")
-    i = node[0]
-    if i == len(lam) + 1:
-        return Partition(tuple(lam) + (1,))
-    return Partition(lam[: i - 1] + (lam[i - 1] + 1,) + lam[i:])
-
-
 class NodeSets(NamedTuple):
     addable: tuple[Node, ...]
     removable: tuple[Node, ...]
@@ -358,19 +348,6 @@ def add(lam: Partition, mu: Partition) -> Partition:
     lam, mu = Partition(lam), Partition(mu)
     n = max(len(lam), len(mu))
     return Partition(lam.part(i) + mu.part(i) for i in range(1, n + 1))
-
-
-def union(lam: Partition, mu: Partition) -> Partition:
-    """Multiset union of the parts, re-sorted."""
-    return Partition(sorted(tuple(lam) + tuple(mu), reverse=True))
-
-
-def concatenate(alpha: Partition, rho: Partition) -> Partition:
-    """Append rho below alpha; requires alpha's last part >= rho's first."""
-    alpha, rho = Partition(alpha), Partition(rho)
-    if alpha and rho and alpha[-1] < rho[0]:
-        raise ValueError("incompatible pair")
-    return Partition(tuple(alpha) + tuple(rho))
 
 
 def q_arrange(values: Iterable[int]) -> Partition:

@@ -515,6 +515,43 @@ class TestCli:
             "has more than 4300 digits, Python's limit for printing an integer\n"
         )
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["char", "--m", "<big>", "--n", "1", "--l", "2", "--degree", "2"],
+            ["special", "4,2", "--l", "<big>", "--m", "1"],
+        ],
+    )
+    def test_integer_option_above_digit_limit(self, capsys, argv):
+        # one short line naming the option and the digit count; the value
+        # itself (5,000 digits) is not echoed
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        big = "1" + "0" * 4999
+        option = argv[argv.index("<big>") - 1]
+        try:
+            with pytest.raises(SystemExit) as err:
+                main([big if a == "<big>" else a for a in argv])
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, message = captured.err.splitlines()
+        assert usage.startswith(f"usage: trunksym {argv[0]} ")
+        assert message == (
+            f"trunksym {argv[0]}: error: argument {option}: a 5000-digit integer is above "
+            "Python's 4300-digit limit for reading an integer"
+        )
+
+    def test_integer_option_still_rejects_non_integers(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["core", "4,2", "--l", "two"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --l: invalid int value: 'two'\n")
+        assert main(["core", "4,2", "--l", " 3 "]) == 0
+
     def test_suite_choices_pinned(self):
         assert cli.SUITE_NAMES == tuple(suite_names())
 

@@ -1,5 +1,6 @@
 """The Fock-space oracle: operators, canonical columns, matrices."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -21,9 +22,7 @@ from trunksym import fock
 from trunksym.mullineux import mullineux, mullineux_length
 from trunksym.fock import (
     ColumnTable,
-    DecompositionMatrix,
     FockVector,
-    LaurentPoly,
     canonical_column,
     column_cap,
     column_matrix,
@@ -35,38 +34,50 @@ from trunksym.fock import (
 )
 
 P = Partition
-one = LaurentPoly.one()
-v = LaurentPoly.v
+one = {0: 1}
 
 
-# Reference for f_i^(k) = f_i^k / [k]!: balanced quantum integers and
-# factorials, and exact division in Z[v, v^-1].
+def v(k: int) -> dict[int, int]:
+    return {k: 1}
 
 
-def _reference_gauss_integer(k: int) -> LaurentPoly:
+# Reference for f_i^(k) = f_i^k / [k]!: the Laurent product, balanced
+# quantum integers and factorials, and exact division in Z[v, v^-1], on
+# {exponent: coefficient} dicts in normal form.
+
+
+def _reference_laurent_product(a: dict, b: dict) -> dict:
+    out: dict[int, int] = {}
+    for e, x in a.items():
+        for f, y in b.items():
+            out[e + f] = out.get(e + f, 0) + x * y
+    return {e: c for e, c in out.items() if c}
+
+
+def _reference_gauss_integer(k: int) -> dict:
     """Balanced quantum integer: v^(k-1) + v^(k-3) + ... + v^(1-k)."""
     if k < 0:
         raise ValueError("quantum integers need k >= 0")
-    return LaurentPoly({k - 1 - 2 * j: 1 for j in range(k)})
+    return {k - 1 - 2 * j: 1 for j in range(k)}
 
 
-def _reference_gauss_factorial(k: int) -> LaurentPoly:
-    out = LaurentPoly.one()
+def _reference_gauss_factorial(k: int) -> dict:
+    out = one
     for j in range(2, k + 1):
-        out = out * _reference_gauss_integer(j)
+        out = _reference_laurent_product(out, _reference_gauss_integer(j))
     return out
 
 
-def _reference_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+def _reference_exact_div(num: dict, den: dict) -> dict:
     """Exact division; a nonzero remainder is a hard error."""
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
     if not num:
-        return LaurentPoly()
-    rest = dict(num.c)
-    dmin = min(den.c)
-    dlead = den.c[dmin]
-    limit = max(num.c) - max(den.c)
+        return {}
+    rest = dict(num)
+    dmin = min(den)
+    dlead = den[dmin]
+    limit = max(num) - max(den)
     quot: dict[int, int] = {}
     while rest:
         e = min(rest)
@@ -74,14 +85,14 @@ def _reference_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
             raise ValueError("non-exact division")
         f = rest[e] // dlead
         quot[e - dmin] = f
-        for de, da in den.c.items():
+        for de, da in den.items():
             k = e - dmin + de
             nv = rest.get(k, 0) - f * da
             if nv:
                 rest[k] = nv
             else:
                 rest.pop(k, None)
-    return LaurentPoly(quot)
+    return quot
 
 
 # Reference kernel: divided powers from node tuples with every new label
@@ -91,7 +102,7 @@ def _reference_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
 def _reference_f_apply(i: int, k: int, x: FockVector, l: int) -> FockVector:
     in_s_above = k * (k - 1) // 2
-    out: dict[Partition, LaurentPoly] = {}
+    out: dict[Partition, dict[int, int]] = {}
     for lam, coef in x.entries.items():
         add_rows = [B[0] for B in addable_nodes(lam) if node_residue(B, l) == i]
         rem_rows = [R[0] for R in removable_nodes(lam) if node_residue(R, l) == i]
@@ -102,55 +113,48 @@ def _reference_f_apply(i: int, k: int, x: FockVector, l: int) -> FockVector:
                 parts[add_rows[j] - 1] += 1
             mu = Partition(parts)
             power = sum(weight[j] for j in subset) - in_s_above
-            out[mu] = out.get(mu, LaurentPoly()) + coef * v(power)
-    return FockVector(out)
+            acc = out.setdefault(mu, {})
+            for e, a in coef.items():
+                acc[e + power] = acc.get(e + power, 0) + a
+    return FockVector(out)  # drops what cancelled
 
 
 def _reference_canonical_column(mu, l, prior, start=None):
     vec = ladder_monomial(mu, l) if start is None else start
     while True:
         defective = [
-            nu for nu, p in vec.entries.items() if nu != mu and any(e <= 0 for e in p.c)
+            nu for nu, p in vec.entries.items() if nu != mu and any(e <= 0 for e in p)
         ]
         if not defective:
             return vec
         nu = max(defective)
-        c = vec.coefficient(nu)
         dd: dict[int, int] = {}
-        for e, a in c.c.items():
+        for e, a in vec.entries[nu].items():
             if e < 0:
                 dd[e] = dd.get(e, 0) + a
                 dd[-e] = dd.get(-e, 0) + a
             elif e == 0:
                 dd[0] = dd.get(0, 0) + a
-        vec = vec.subtract_scaled(LaurentPoly(dd), prior[nu])
+        vec = vec.subtract_scaled(dd, prior[nu])
 
 
 class TestLaurent:
-    def test_ring_ops(self):
-        a = LaurentPoly({-1: 2, 1: 3})
-        b = LaurentPoly({0: 1, 2: -1})
-        assert (a + b) - b == a
-        assert a * b == b * a
-        assert (a * b).coefficient(1) == 3 - 2
-        assert a.bar() == LaurentPoly({1: 2, -1: 3})
-        assert a.evaluate_one() == 5
-        assert not LaurentPoly()
-        assert not (a - a)
+    """The reference Laurent arithmetic."""
 
     def test_gauss_integers(self):
         gauss = _reference_gauss_integer
-        assert gauss(2) == LaurentPoly({1: 1, -1: 1})
-        assert gauss(3) == LaurentPoly({2: 1, 0: 1, -2: 1})
-        assert _reference_gauss_factorial(3) == gauss(2) * gauss(3)
+        assert gauss(2) == {1: 1, -1: 1}
+        assert gauss(3) == {2: 1, 0: 1, -2: 1}
+        assert _reference_gauss_factorial(3) == _reference_laurent_product(gauss(2), gauss(3))
+        assert _reference_laurent_product({0: 1, 1: 1}, {0: 1, 1: -1}) == {0: 1, 2: -1}
 
     def test_exact_division(self):
         gauss = _reference_gauss_integer
-        assert _reference_exact_div(gauss(2) * gauss(3), gauss(3)) == gauss(2)
+        assert _reference_exact_div(_reference_laurent_product(gauss(2), gauss(3)), gauss(3)) == gauss(2)
         with pytest.raises(ValueError, match="non-exact"):
-            _reference_exact_div(LaurentPoly({1: 1}), LaurentPoly({0: 1, 1: 1}))
+            _reference_exact_div({1: 1}, {0: 1, 1: 1})
         with pytest.raises(ValueError, match="non-exact"):
-            _reference_exact_div(LaurentPoly({0: 3}), LaurentPoly({0: 2}))
+            _reference_exact_div({0: 3}, {0: 2})
 
 
 class TestFockVector:
@@ -159,37 +163,30 @@ class TestFockVector:
             FockVector({P((1,)): one, P((2,)): one})
 
     def test_zero_entries_dropped(self):
-        vec = FockVector({P((1,)): LaurentPoly()})
-        assert vec.is_zero()
+        assert FockVector({P((1,)): {}, P((2,)): {3: 0}}).entries == {}
+        assert FockVector({P((1,)): {0: 1, 1: 0}}).entries == {P((1,)): one}
 
     def test_subtract_scaled_homogeneity(self):
         with pytest.raises(ValueError, match="mixed degrees"):
             FockVector.basis(P((1,))).subtract_scaled(one, FockVector.basis(P((2,))))
 
 
-def _assert_normal(x):
-    """No zero coefficient, no empty polynomial, Partition keys of one degree.
+def _assert_normal(x: FockVector):
+    """No zero coefficient, no empty dict, Partition keys of one degree.
 
     Equality compares the raw dicts, so a stray zero would make equal
     values compare unequal."""
-    if isinstance(x, LaurentPoly):
-        assert all(type(e) is int and a != 0 for e, a in x.c.items()), x.c
-        return
     assert len({lam.degree for lam in x.entries}) <= 1
     for lam, p in x.entries.items():
         assert type(lam) is Partition
         assert p, f"empty polynomial at {lam}"
-        _assert_normal(p)
+        assert all(type(e) is int and a != 0 for e, a in p.items()), p
 
 
 class TestNormalForm:
     def test_cancellation_drops_terms(self):
-        a = LaurentPoly({-1: 2, 1: 3})
-        for zero in (a - a, a + (-a), (one + v(1)) * (one - v(1)) - one + v(2)):
-            assert zero.c == {}
-        assert ((one + v(1)) * (one - v(1))).c == {0: 1, 2: -1}
         # f_1 sends v|2> and |1,1> to the same |2,1>, so they cancel
-        x = FockVector({P((2,)): v(1), P((1, 1)): -one})
+        x = FockVector({P((2,)): v(1), P((1, 1)): {0: -1}})
         assert f_apply(1, 1, x, 2).entries == {}
         vec = ladder_monomial(P((2,)), 2)
         assert vec.subtract_scaled(one, vec).entries == {}
@@ -208,9 +205,6 @@ class TestNormalForm:
                     _assert_normal(vec)
                     for i in range(l):
                         _assert_normal(f_apply(i, 1, vec, l))
-                    for p in vec.entries.values():
-                        for q in (p + p.bar(), p - p.bar(), p * p.bar(), -p, p.bar(), p - p):
-                            _assert_normal(q)
                     _assert_normal(vec.subtract_scaled(v(1), vec))
                     _assert_normal(vec.subtract_scaled(one, FockVector.basis(mu)))
                     prior[mu] = canonical_column(mu, l, prior)
@@ -220,11 +214,11 @@ class TestNormalForm:
 class TestOperators:
     def test_examples(self):
         # the second assertion is the degree-2 anchor that fixes the "above" side
-        assert f_apply(0, 1, FockVector.basis(EMPTY), 2) == FockVector({P((1,)): one})
-        assert f_apply(1, 1, FockVector.basis(P((1,))), 2) == FockVector(
-            {P((2,)): one, P((1, 1)): v(1)}
-        )
-        assert f_apply(0, 1, FockVector(), 2).is_zero()
+        assert f_apply(0, 1, FockVector.basis(EMPTY), 2).entries == {P((1,)): one}
+        assert f_apply(1, 1, FockVector.basis(P((1,))), 2).entries == {
+            P((2,)): one, P((1, 1)): v(1)
+        }
+        assert f_apply(0, 1, FockVector(), 2).entries == {}
 
     def test_residue_range(self):
         with pytest.raises(ValueError, match="residue out of range"):
@@ -240,24 +234,22 @@ class TestOperators:
                         for k in range(1, 5):
                             cur = f_apply(i, 1, cur, l)
                             fact = _reference_gauss_factorial(k)
-                            expected = FockVector(
-                                {mu: _reference_exact_div(p, fact) for mu, p in cur.entries.items()}
-                            )
-                            assert f_apply(i, k, FockVector.basis(lam), l) == expected
+                            expected = {
+                                mu: _reference_exact_div(p, fact) for mu, p in cur.entries.items()
+                            }
+                            assert f_apply(i, k, FockVector.basis(lam), l).entries == expected
 
     def test_divided_power_matches_subset_sum(self):
         # two boxes of equal residue on one ladder: f^(2) of the vacuum
         out = f_apply(0, 1, FockVector.basis(EMPTY), 2)
         out = f_apply(1, 2, out, 2)
-        assert out == FockVector({P((2, 1)): one})
+        assert out.entries == {P((2, 1)): one}
 
 
 class TestLadderMonomials:
     def test_examples(self):
-        assert ladder_monomial(P((2,)), 2) == FockVector(
-            {P((2,)): one, P((1, 1)): v(1)}
-        )
-        assert ladder_monomial(P((1,)), 3) == FockVector.basis(P((1,)))
+        assert ladder_monomial(P((2,)), 2).entries == {P((2,)): one, P((1, 1)): v(1)}
+        assert ladder_monomial(P((1,)), 3).entries == {P((1,)): one}
         with pytest.raises(ValueError, match="not l-regular"):
             ladder_monomial(P((1, 1)), 2)
 
@@ -268,25 +260,23 @@ class TestLadderMonomials:
                     if not is_regular(mu, l):
                         continue
                     vec = ladder_monomial(mu, l)
-                    assert vec.coefficient(mu) == one
-                    for nu in vec.support():
+                    assert vec.entries[mu] == one
+                    for nu in vec.entries:
                         assert dominance_leq(nu, mu)
 
 
 class TestCanonicalColumns:
     def test_examples(self):
-        assert canonical_column(EMPTY, 2, {}) == FockVector.basis(EMPTY)
-        assert canonical_column(P((2,)), 2, ColumnTable(2)) == FockVector(
-            {P((2,)): one, P((1, 1)): v(1)}
-        )
+        assert canonical_column(EMPTY, 2, {}).entries == {EMPTY: one}
+        assert canonical_column(P((2,)), 2, ColumnTable(2)).entries == {
+            P((2,)): one, P((1, 1)): v(1)
+        }
         table = ColumnTable(3)
         g21 = table[P((2, 1))]
-        assert g21 == FockVector({P((2, 1)): one, P((1, 1, 1)): v(1)})
+        assert g21.entries == {P((2, 1)): one, P((1, 1, 1)): v(1)}
         # computed by running the reduction by hand; also forced by the
         # sign-twist identity with the conjugate of the one-row partition
-        assert canonical_column(P((3,)), 3, table) == FockVector(
-            {P((3,)): one, P((2, 1)): v(1)}
-        )
+        assert canonical_column(P((3,)), 3, table).entries == {P((3,)): one, P((2, 1)): v(1)}
         with pytest.raises(ValueError, match="not l-regular"):
             canonical_column(P((1, 1)), 2, ColumnTable(2))
 
@@ -419,11 +409,11 @@ class TestReferenceKernel:
         for l in (2, 3, 4, 5):
             for deg in range(11):
                 for lam in partitions_of(deg):
-                    x = FockVector({lam: v(-1) + LaurentPoly({2: 3})})
+                    x = FockVector({lam: {-1: 1, 2: 3}})
                     for i in range(l):
                         for k in range(1, 5):
                             got = f_apply(i, k, x, l)
-                            assert got == _reference_f_apply(i, k, x, l), (l, lam, i, k)
+                            assert got.entries == _reference_f_apply(i, k, x, l).entries, (l, lam, i, k)
                             _assert_normal(got)
                             points += 1
         assert points == 7784
@@ -448,18 +438,18 @@ class TestReferenceKernel:
             for deg in range(14):
                 for mu in sorted(m for m in partitions_of(deg) if is_regular(m, l)):
                     calls[0] = 0
-                    expected = _reference_canonical_column(mu, l, prior)
+                    expected = _reference_canonical_column(mu, l, prior).entries
                     ladder_rounds += calls[0]
                     start = None
                     if mu:
                         below, i, n = fock._top_ladder(mu, l)
                         start = f_apply(i, n, prior[below], l)
                     calls[0] = 0
-                    assert _reference_canonical_column(mu, l, prior, start) == expected
+                    assert _reference_canonical_column(mu, l, prior, start).entries == expected
                     reference_calls = calls[0]
                     calls[0] = 0
                     prior[mu] = canonical_column(mu, l, prior)
-                    assert prior[mu] == expected, (l, mu)
+                    assert prior[mu].entries == expected, (l, mu)
                     assert calls[0] == reference_calls, (l, mu)
                     _assert_normal(prior[mu])
                     induced_rounds += calls[0]
@@ -470,7 +460,7 @@ class TestReferenceKernel:
     def test_start_vector_checks(self):
         # G(mu-) is read from columns; a start vector that is not
         # unitriangular is an error before any pivot is read
-        scaled = FockVector({P((4,)): one + one - v(1)})
+        scaled = FockVector({P((4,)): {0: 2, 1: -1}})
         with pytest.raises(RuntimeError, match="start vector of .* bad leading term"):
             canonical_column(P((5,)), 2, {P((4,)): scaled})
         above = FockVector({P((2, 1)): one, P((3,)): v(1)})
@@ -489,14 +479,14 @@ class TestReferenceKernel:
         # (4,4) is lex-below the pivot (5,1,1,1) but not dominance-below (5,2,1)
         columns = {
             P((4, 2, 1)): self._below_521(one),
-            P((5, 1, 1, 1)): FockVector({P((5, 1, 1, 1)): one, P((4, 4)): -v(1)}),
+            P((5, 1, 1, 1)): FockVector({P((5, 1, 1, 1)): one, P((4, 4)): {1: -1}}),
         }
         with pytest.raises(RuntimeError, match="canonical column of .* has support above it"):
             canonical_column(P((5, 2, 1)), 2, columns)
 
     def test_negative_coefficient_is_a_positivity_violation(self):
-        columns = {P((4, 2, 1)): self._below_521(-v(2))}
-        with pytest.raises(RuntimeError, match=r"positivity violation .* row Partition\(\[5, 1, 1, 1\]\): -1\*v\^2"):
+        columns = {P((4, 2, 1)): self._below_521({2: -1})}
+        with pytest.raises(RuntimeError, match=r"positivity violation .* row Partition\(\[5, 1, 1, 1\]\): \{2: -1\}"):
             canonical_column(P((5, 2, 1)), 2, columns)
 
     def test_uncleared_pivot_is_a_positivity_violation(self):
@@ -505,7 +495,7 @@ class TestReferenceKernel:
             P((4, 2, 1)): self._below_521(one),
             P((5, 1, 1, 1)): FockVector({P((4, 2, 1, 1)): v(1)}),
         }
-        with pytest.raises(RuntimeError, match=r"positivity violation .* row Partition\(\[5, 1, 1, 1\]\): 1$"):
+        with pytest.raises(RuntimeError, match=r"positivity violation .* row Partition\(\[5, 1, 1, 1\]\): \{0: 1\}$"):
             canonical_column(P((5, 2, 1)), 2, columns)
 
     def test_pivot_column_of_another_degree_is_an_error(self):
@@ -528,10 +518,10 @@ class TestReferenceKernel:
             ),
             P((2, 1, 1, 1)): FockVector.basis(P((2, 1, 1, 1))),
         }
-        expected = _reference_canonical_column(P((5,)), 2, prior)
-        assert P((2, 1, 1, 1)) not in expected.entries
+        expected = _reference_canonical_column(P((5,)), 2, prior).entries
+        assert P((2, 1, 1, 1)) not in expected
         prior[P((4,))] = ladder_monomial(P((4,)), 2)
-        assert canonical_column(P((5,)), 2, prior) == expected
+        assert canonical_column(P((5,)), 2, prior).entries == expected
 
     def test_prior_column_above_its_label_is_an_error(self):
         # the ladder monomial of (5) at l = 2 has the pivot (3,2)
@@ -541,6 +531,33 @@ class TestReferenceKernel:
         }
         with pytest.raises(RuntimeError, match="lex-above"):
             canonical_column(P((5,)), 2, bad)
+
+    # sha256 of every canonical column of degree <= 12, one line per column
+    # (lex-ascending within each degree): the label, then the sorted
+    # (label, exponent, coefficient) triples of its full v-polynomials
+    GRADED_DIGESTS = {
+        2: (70, "aa335189b5fa9aa3496d1031bce123b324886dc28f2580861dc66e41094a7a39"),
+        3: (145, "17f27542e460c4195f04a73051f6594245ad4bbff2f131ccd122795862451f97"),
+        4: (193, "f6dd7b6f492742c272c1605931b7e2b52fa06c45222f516c7e45c3041bdb5c40"),
+        5: (223, "5b4745d6baab0fd3d306a5292bc1da59ca44a52e02775c122ca4bcacbe1fc564"),
+    }
+
+    @pytest.mark.parametrize("l", sorted(GRADED_DIGESTS))
+    def test_graded_columns_are_pinned(self, l):
+        # the pinned payload checksums see only values at v = 1
+        table = ColumnTable(l)
+        digest = hashlib.sha256()
+        columns = 0
+        for deg in range(13):
+            for mu in sorted(m for m in partitions_of(deg) if is_regular(m, l)):
+                triples = sorted(
+                    (tuple(lam), e, a)
+                    for lam, poly in table[mu].entries.items()
+                    for e, a in poly.items()
+                )
+                digest.update(f"{tuple(mu)} {triples}\n".encode())
+                columns += 1
+        assert (columns, digest.hexdigest()) == self.GRADED_DIGESTS[l]
 
     def test_table_lookup_failure_is_internal(self):
         with pytest.raises(RuntimeError, match="cannot build the column of"):

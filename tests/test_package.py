@@ -1,6 +1,8 @@
 """The package namespace: lazy public names and what a CLI call imports."""
 
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -10,16 +12,14 @@ import pytest
 
 import trunksym
 
-# home module -> the names `trunksym` exported when it imported every
-# module eagerly
+# home module -> the supported public API, as README's "Library use" lists it
 EXPORTS = {
     "partitions": (
-        "EMPTY", "Node", "NodeSets", "Partition", "add", "addable_nodes", "add_node", "cells",
-        "concatenate", "dagger", "dominance_leq", "format_partition", "is_regular",
-        "is_restricted", "l_core", "node_residue", "node_sets", "parse_partition",
-        "partitions_of", "q_arrange", "regularity", "removable_nodes", "remove_node",
-        "remove_rim_hook", "residue_content", "restricted_decompose", "rim_hooks", "transpose",
-        "union",
+        "EMPTY", "Node", "NodeSets", "Partition", "add", "addable_nodes", "cells", "dagger",
+        "dominance_leq", "format_partition", "is_regular", "is_restricted", "l_core",
+        "node_residue", "node_sets", "parse_partition", "partitions_of", "q_arrange",
+        "regularity", "removable_nodes", "remove_node", "remove_rim_hook", "residue_content",
+        "restricted_decompose", "rim_hooks", "transpose",
     ),
     "mullineux": (
         "LEdge", "MullineuxSymbol", "add_l_edge", "edge_length", "find_co_suitable_node",
@@ -32,26 +32,37 @@ EXPORTS = {
         "restricted_part_mull_length", "witness_is_valid",
     ),
     "characters": (
-        "MonomialChar", "SchurExpansion", "frobenius_stretch", "full_power_char", "kostka",
-        "monomials_to_schur", "pieri_e", "pieri_h", "schur_to_monomials",
-        "truncated_power_char", "truncated_tensor_char", "verify_graded_free_identity",
+        "MonomialChar", "SchurExpansion", "frobenius_stretch", "kostka", "monomials_to_schur",
+        "pieri_h", "schur_to_monomials", "truncated_tensor_char", "verify_graded_free_identity",
     ),
     "fock": (
-        "DecompositionMatrix", "FockVector", "LaurentPoly", "canonical_column", "column_matrix",
+        "DecompositionMatrix", "FockVector", "canonical_column", "column_matrix",
         "decomposition_matrix", "f_apply", "ladder_monomial", "nabla_multiplicity",
     ),
     "cache": ("CACHE_GENERATOR", "CacheIntegrityError", "cache_get", "cache_put", "load_or_compute"),
     "suites": ("SuiteReport", "run_suite", "suite_names"),
 }
 SRC = Path(trunksym.__file__).resolve().parent.parent
+REPO = Path(__file__).resolve().parent.parent
+SPANS = REPO / "perfbench" / "spans.py"
 
 
 def test_every_export_resolves_to_its_home():
-    assert sum(map(len, EXPORTS.values())) == 82
+    assert sum(map(len, EXPORTS.values())) == 75
     for home, names in EXPORTS.items():
         module = import_module(f"trunksym.{home}")
         for name in names:
             assert getattr(trunksym, name) is getattr(module, name), (home, name)
+
+
+def test_readme_lists_the_exports():
+    text = (REPO / "README.md").read_text(encoding="utf-8").split("## Library use")[1]
+    listed = {}
+    for home in EXPORTS:
+        row = re.search(rf"^\| `{home}` \| (.*) \|$", text, re.MULTILINE)
+        assert row, home
+        listed[home] = tuple(name.strip(" `") for name in row.group(1).split(","))
+    assert listed == EXPORTS
 
 
 def test_mullineux_stays_the_function():
@@ -78,3 +89,17 @@ def test_parser_imports_only_the_partition_core():
                           timeout=60, check=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.stdout.split() == ["trunksym", "trunksym.cli", "trunksym.mullineux",
                                    "trunksym.partitions"]
+
+
+def test_tracer_names_resolve():
+    # perfbench/spans.py installs a span on each WRAPPED name and counts
+    # FockVector.subtract_scaled; a traced run crashes on a missing one
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [(layer, name) for layer, group in spans.WRAPPED.items() for name in group]
+    for layer, name in names + [("fock", "FockVector.subtract_scaled")]:
+        target = import_module(f"trunksym.{layer}")
+        for attr in name.split("."):
+            target = getattr(target, attr)
+        assert callable(target), (layer, name)
