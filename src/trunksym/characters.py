@@ -74,26 +74,12 @@ class MonomialChar:
                     del clean[key]
         self.terms = clean
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
     def zero(cls, n: int) -> "MonomialChar":
         return cls(n)
 
-    @classmethod
-    def one(cls, n: int) -> "MonomialChar":
-        return cls(n, {(0,) * n: 1})
-
-    # -- queries -----------------------------------------------------------
-
-    def coefficient(self, vec: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(sorted(vec, reverse=True)), 0)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -112,12 +98,6 @@ class MonomialChar:
         for k, c in other.terms.items():
             acc[k] = acc.get(k, 0) + c
         return MonomialChar(self.n, acc)
-
-    def __sub__(self, other: "MonomialChar") -> "MonomialChar":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "MonomialChar":
-        return MonomialChar(self.n, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other: "MonomialChar") -> "MonomialChar":
         """Product via full orbit expansion, collecting dominant exponents.
@@ -164,9 +144,6 @@ class SchurExpansion:
             if c:
                 clean[lam] = c
         self.coeffs = clean
-
-    def coefficient(self, lam: Partition) -> int:
-        return self.coeffs.get(Partition(lam), 0)
 
     def support(self) -> list[Partition]:
         return sorted(self.coeffs)

@@ -139,18 +139,18 @@ def _subtract(lam: Partition, eta: Partition) -> Partition:
 def _sub_partitions(lam: Partition) -> list[Partition]:
     """All eta with lam - eta a partition (eta = 0 included), built row by
     row: max(0, lam_i - (lam_(i-1) - eta_(i-1))) <= eta_i <= min(eta_(i-1), lam_i)."""
-    rows: list[tuple[int, ...]] = [()]
+    prefixes: list[tuple[int, ...]] = [()]
     for i, part in enumerate(lam):
         grown = []
-        for eta in rows:
+        for eta in prefixes:
             if i:
                 low = max(0, part - (lam[i - 1] - eta[-1]))
                 high = min(eta[-1], part)
             else:
                 low, high = 0, part
             grown.extend(eta + (e,) for e in range(low, high + 1))
-        rows = grown
-    return [Partition(eta) for eta in rows]
+        prefixes = grown
+    return [Partition(eta) for eta in prefixes]
 
 
 def _assign(lam: Partition, params: tuple[int, ...], l: int, memo: dict) -> Witness | None:
@@ -244,40 +244,21 @@ def witness_is_valid(lam: Partition, m: int, l: int, witness: Witness) -> bool:
 # m-good
 
 
-def is_m_good(lam: Partition, m: int, l: int, oracle=None) -> GoodVerdict:
-    """Tri-state verdict; `oracle` may carry a decomposition matrix of the
-    right degree to double-check the restricted rule."""
+def is_m_good(lam: Partition, m: int, l: int) -> GoodVerdict:
+    """Tri-state verdict; `good --oracle` checks the restricted rule against
+    the decomposition matrix's simple column."""
     _check_l(l)
     lam = Partition(lam)
     if m < 1:
         raise ValueError("m must be positive")
     core_len = restricted_part_mull_length(lam, l)
     if is_restricted(lam, l):
-        yes = core_len <= m
-        if oracle is not None:
-            _oracle_confirm(lam, m, l, oracle, yes)
-        return GoodVerdict("yes" if yes else "no", RULE_MULL_LENGTH)
+        return GoodVerdict("yes" if core_len <= m else "no", RULE_MULL_LENGTH)
     if lam.part(1) <= m * (l - 1):
         return GoodVerdict("yes" if core_len <= m else "no", PROV_SPECIAL_BOUND)
     if core_len > m:
         return GoodVerdict("no", PROV_RESTRICTED_PART)
     return GoodVerdict("unknown", PROV_UNDECIDED)
-
-
-def _oracle_confirm(lam: Partition, m: int, l: int, matrix, expected: bool) -> None:
-    from .mullineux import mullineux
-
-    if matrix.degree != lam.degree or matrix.l != l:
-        raise ValueError("oracle matrix does not match the partition's degree and l")
-    col = mullineux(transpose(lam), l)
-    if col not in matrix.cols:
-        raise ValueError(f"{col} is not a column label (not l-regular?)")
-    entries = matrix.entries
-    observed = any(entries.get((tau, col)) for tau in matrix.rows if len(tau) <= m)
-    if observed != expected:
-        raise RuntimeError(
-            f"decomposition-number oracle disagrees with the length rule on {lam}"
-        )
 
 
 def enumerate_special(

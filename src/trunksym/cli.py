@@ -143,22 +143,25 @@ def _cmd_good(args) -> int:
     from .partitions import is_restricted, parse_partition
 
     lam = parse_partition(args.parts)
-    oracle = None
+    # the verdict first: it refuses a bad m or l before any oracle work
+    verdict = is_m_good(lam, args.m, args.l)
     if args.oracle and is_restricted(lam, args.l):
         from . import cache as cache_mod
-        from .fock import column_matrix
-        from .mullineux import mullineux
-        from .partitions import transpose
+        from .fock import column_matrix, simple_label
 
         # only restricted labels consult the oracle; without a readable
         # cache file, build just the column the verdict reads
-        oracle = cache_mod.load_or_compute(
+        mat = cache_mod.load_or_compute(
             args.l,
             lam.degree,
             cache_dir=args.cache,
-            on_miss=lambda: column_matrix(mullineux(transpose(lam), args.l), args.l),
+            on_miss=lambda: column_matrix(simple_label(lam, args.l), args.l),
         )
-    verdict = is_m_good(lam, args.m, args.l, oracle=oracle)
+        observed = any(len(tau) <= args.m for tau in mat.simple_column(lam))
+        if observed != (verdict.status == "yes"):
+            raise RuntimeError(
+                f"decomposition-number oracle disagrees with the length rule on {lam}"
+            )
     _dump(verdict.to_json())
     return 0
 

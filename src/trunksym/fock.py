@@ -30,6 +30,13 @@ coefficients in v*Z>=0[v], enforced with hard errors.  A ColumnTable,
 owned by one decomposition_matrix or column_matrix call, builds G(mu-)
 and each pivot's column on first lookup, so column_matrix builds only
 the columns its one column reads.
+
+A matrix holds the canonical columns at v = 1.  For restricted lam, the
+multiplicity [Delta(tau):L(lam)] of the simple module L(lam) in the
+standard module Delta(tau) is the entry (tau, Mull(lam')), where lam' is
+the transpose and Mull the Mullineux map.  simple_label names that
+column and DecompositionMatrix.simple_column reads it; every caller goes
+through these two.
 """
 
 from __future__ import annotations
@@ -362,6 +369,15 @@ class ColumnTable(dict):
 # decomposition matrices
 
 
+def simple_label(lam: Partition, l: int) -> Partition:
+    """The column of the matrix that reads the simple module L(lam) of
+    restricted lam: Mull(lam'), the Mullineux conjugate of the transpose."""
+    lam = Partition(lam)
+    if not is_restricted(lam, l):
+        raise ValueError(f"{lam} is not l-restricted")
+    return mullineux(transpose(lam), l)
+
+
 # Caps from a 2 s budget per cold CLI call (median of five runs, 2-CPU Xeon
 # host).  Whole matrix: the largest degree at which `decomp-matrix` builds
 # and prints it in time; l >= 6 takes the l = 5 cap.
@@ -400,9 +416,18 @@ class DecompositionMatrix:
             raise ValueError(f"{mu} is not a column label (not l-regular?)")
         return self.entries.get((lam, mu), 0)
 
-    def column_support(self, mu: Partition) -> list[Partition]:
-        mu = Partition(mu)
-        return sorted(lam for (lam, col) in self.entries if col == mu)
+    def simple_column(self, lam: Partition) -> dict[Partition, int]:
+        """[Delta(tau):L(lam)] for restricted lam: each row tau with a nonzero
+        entry in column simple_label(lam, l), mapped to that entry, in row
+        order."""
+        lam = Partition(lam)
+        if lam.degree != self.degree:
+            raise ValueError("label does not have the matrix degree")
+        col = simple_label(lam, self.l)
+        if col not in self.cols:
+            raise ValueError(f"{col} is not a column label of this matrix")
+        entries = self.entries
+        return {tau: a for tau in self.rows if (a := entries.get((tau, col)))}
 
 
 def _matrix(l: int, r: int, rows, cols, table: ColumnTable) -> DecompositionMatrix:
@@ -464,25 +489,3 @@ def column_matrix(mu: Partition, l: int) -> DecompositionMatrix:
     table[mu]
     cols = tuple(sorted((nu for nu in table if nu.degree == r), reverse=True))
     return _matrix(l, r, tuple(partitions_of(r)), cols, table)
-
-
-def nabla_multiplicity(
-    tau: Partition, lam: Partition, l: int, matrix: DecompositionMatrix | None = None
-) -> int:
-    """Multiplicity of the simple labelled by restricted lam in the standard
-    module labelled by tau, read off the canonical-basis matrix.
-
-    Without matrix= only the column read is computed (column_matrix), and
-    nothing is memoised in the process.  To reuse a matrix, pass it as
-    matrix= or read it through the disk cache (cache.load_or_compute).
-    """
-    _check_l(l)
-    tau, lam = Partition(tau), Partition(lam)
-    if not is_restricted(lam, l):
-        raise ValueError("label not restricted")
-    if tau.degree != lam.degree:
-        raise ValueError("labels must have equal degree")
-    col = mullineux(transpose(lam), l)
-    if matrix is None:
-        matrix = column_matrix(col, l)
-    return matrix.entry(tau, col)

@@ -8,9 +8,10 @@ where the previous run stopped.  Mullineux components are the row blocks
 cut at segment ends; the involution itself is reconstructed stage by stage
 from the symbol of successive l-edge removals.
 
-The edge is read once, by the rim walk.  Its agreement with the component
-formula (segment ends are the running sums of the component lengths) is a
-test, not a check made on every call.
+The edge is read once, by the rim walk, and the components are cut from
+it.  The row-by-row component formula (a block ends at the first row h
+with lam_1 - lam_(h+1) + h >= l) is the tests' reference, not a second
+reading made on every call.
 """
 
 from __future__ import annotations
@@ -56,30 +57,6 @@ class LEdge(NamedTuple):
     segment_rows: tuple[int, ...]
 
 
-def mullineux_components(lam: Partition, l: int) -> list[Partition]:
-    """Row blocks cut where the l-segments end.
-
-    The first block is (lam_1..lam_h) with h minimal such that
-    lam_1 - lam_{h+1} + h >= l (the whole partition when nothing fires),
-    then recurse on the remainder.
-    """
-    _check_l(l)
-    lam = Partition(lam)
-    if not lam:
-        raise ValueError("the zero partition has no component split")
-    comps: list[Partition] = []
-    rest = lam
-    while rest:
-        h = len(rest)
-        for cand in range(1, len(rest) + 1):
-            if rest[0] - rest.part(cand + 1) + cand >= l:
-                h = cand
-                break
-        comps.append(Partition(rest[:h]))
-        rest = Partition(rest[h:])
-    return comps
-
-
 def l_edge(lam: Partition, l: int) -> LEdge:
     """Select the l-edge off the rim, in runs of at most l nodes."""
     _check_l(l)
@@ -97,6 +74,16 @@ def l_edge(lam: Partition, l: int) -> LEdge:
         while pos < len(border) and border[pos][0] <= last_row:
             pos += 1
     return LEdge(tuple(taken), len(taken), tuple(seg_rows))
+
+
+def mullineux_components(lam: Partition, l: int) -> list[Partition]:
+    """Row blocks cut at the rows where the l-edge's segments end."""
+    _check_l(l)
+    lam = Partition(lam)
+    if not lam:
+        raise ValueError("the zero partition has no component split")
+    ends = l_edge(lam, l).segment_rows
+    return [Partition(lam[start:end]) for start, end in zip((0,) + ends, ends)]
 
 
 def remove_l_edge(lam: Partition, l: int) -> Partition:

@@ -9,7 +9,7 @@ safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from itertools import accumulate
 from operator import le, ne
 from typing import NamedTuple
@@ -42,10 +42,6 @@ class Partition(tuple):
     @property
     def degree(self) -> int:
         return sum(self)
-
-    @property
-    def length(self) -> int:
-        return len(self)
 
     def part(self, i: int) -> int:
         """The i-th part, 1-based; zero beyond the length."""
@@ -368,12 +364,10 @@ def partitions_of(
     r: int,
     max_len: int | None = None,
     max_part: int | None = None,
-    predicate: Callable[[Partition], bool] | None = None,
 ) -> Iterator[Partition]:
     """Yield the partitions of r in lexicographically descending order.
 
-    Optional bounds cap the number of parts and the largest part; an
-    arbitrary predicate filters the stream.
+    Optional bounds cap the number of parts and the largest part.
     """
     if r < 0:
         raise ValueError("degree must be nonnegative")
@@ -391,9 +385,7 @@ def partitions_of(
                 yield (first,) + rest
 
     for parts in rec(r, top, slots):
-        lam = Partition(parts)
-        if predicate is None or predicate(lam):
-            yield lam
+        yield Partition(parts)
 
 
 def count_partitions(r: int, max_len: int, max_part: int) -> int:

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 
 from . import cache as cache_mod
+from .fock import simple_label
 from .partitions import (
     EMPTY,
     Partition,
@@ -135,8 +136,8 @@ def _suite_llt_crosscheck(run: _Run, ls, max_degree, cache_dir) -> None:
             for lam in mat.rows:
                 if not is_restricted(lam, l):
                     continue
-                col = mullineux(transpose(lam), l)
-                support = mat.column_support(col)
+                col = simple_label(lam, l)
+                support = sorted(mat.simple_column(lam))
                 ok = col in support and all(dominance_leq(tau, col) for tau in support)
                 run.check(ok, (l, lam), f"maximal support row {col}", support)
 
@@ -221,8 +222,7 @@ def _suite_oracle_mull_length(run: _Run, ls, max_degree, cache_dir) -> None:
             for lam in mat.rows:
                 if not is_restricted(lam, l):
                     continue
-                col = mullineux(transpose(lam), l)
-                lengths = [len(tau) for tau in mat.column_support(col)]
+                lengths = [len(tau) for tau in mat.simple_column(lam)]
                 for m in range(1, max(r, 1) + 1):
                     combinatorial = mullineux_length(transpose(lam), l) <= m
                     oracle = any(length <= m for length in lengths)
@@ -361,8 +361,7 @@ def _suite_edge_structure(run: _Run, ls, max_degree, oracle_degree, cache_dir) -
                 if not is_restricted(lam, l):
                     continue
                 m = len(lam)
-                col = mullineux(transpose(lam), l)
-                shorter = any(len(tau) < m for tau in mat.column_support(col))
+                shorter = any(len(tau) < m for tau in mat.simple_column(lam))
                 run.check(
                     shorter == (len(l_core(lam, l)) < m),
                     (l, lam),

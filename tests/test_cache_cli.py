@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import shlex
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -455,6 +457,37 @@ class TestCli:
         assert f"cap {cap} for l=2" in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    def test_good_refuses_bad_m_before_oracle_work(self, capsys, monkeypatch):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle work before the verdict validated m")
+
+        monkeypatch.setattr("trunksym.fock.column_matrix", no_oracle)
+        monkeypatch.setattr(cache_mod, "load_or_compute", no_oracle)
+        label = ",".join(["1"] * 26)
+        assert main(["good", label, "--l", "2", "--m", "0", "--oracle"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: m must be positive\n"
+
+    def test_good_oracle_disagreement_is_internal(self, capsys, tmp_path):
+        # (2,1) at l = 2 is not 1-good: its simple column (2,1) has no row
+        # of one part, until the cached matrix gains the entry ((3), (2,1))
+        lam, col = P((2, 1)), P((2, 1))
+        mat = decomposition_matrix(3, 2)
+        assert (P((3,)), col) not in mat.entries
+        tampered = replace(mat, entries={**mat.entries, (P((3,)), col): 1})
+        cache_put(tmp_path, tampered)
+        argv = ["good", "2,1", "--l", "2", "--m", "1", "--oracle", "--cache", str(tmp_path)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"internal error: decomposition-number oracle disagrees with the length rule on {lam} "
+            f"(input: trunksym {shlex.join(argv)})\n"
+        )
+        assert main(argv[:-2]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "no"
+
     def test_enumerate_special(self, capsys):
         assert main(["enumerate-special", "--l", "3", "--m", "1", "--degree", "5"]) == 0
         assert capsys.readouterr().out.strip() == "2,2,1"
@@ -579,6 +612,46 @@ class TestCli:
         assert printed == json.loads(cache_path(tmp_path, 3, 6).read_bytes())
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out) == printed
+
+    def test_decomp_matrix_force_recomputes_and_rewrites(self, capsys, tmp_path, monkeypatch):
+        argv = ["decomp-matrix", "--l", "3", "--degree", "6", "--cache", str(tmp_path)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        written = cache_path(tmp_path, 3, 6).read_bytes()
+        builds, puts = [], []
+        build, put = cache_mod.decomposition_matrix, cache_mod.cache_put
+
+        def no_get(*args):
+            raise AssertionError("--force read the cache")
+
+        def counted_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        def counted_put(*args):
+            puts.append(args)
+            return put(*args)
+
+        monkeypatch.setattr(cache_mod, "cache_get", no_get)
+        monkeypatch.setattr(cache_mod, "decomposition_matrix", counted_build)
+        monkeypatch.setattr(cache_mod, "cache_put", counted_put)
+        assert main(argv + ["--force"]) == 0
+        assert capsys.readouterr().out == printed
+        assert len(builds) == len(puts) == 1
+        assert cache_path(tmp_path, 3, 6).read_bytes() == written
+
+    def test_decomp_matrix_reads_a_valid_file(self, capsys, tmp_path, monkeypatch):
+        argv = ["decomp-matrix", "--l", "3", "--degree", "6", "--cache", str(tmp_path)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+
+        def no_write(*args, **kwargs):
+            raise AssertionError("recomputed or rewrote a valid cache file")
+
+        monkeypatch.setattr(cache_mod, "decomposition_matrix", no_write)
+        monkeypatch.setattr(cache_mod, "cache_put", no_write)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == printed
 
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         def broken(lam, m, l):

@@ -363,16 +363,17 @@ class TestGood:
                 for lam in partitions_of(deg):
                     if not is_restricted(lam, l):
                         continue
+                    column = mat.simple_column(lam)
                     for m in (1, 2, 3):
-                        verdict = is_m_good(lam, m, l, oracle=mat)
-                        assert verdict.status in ("yes", "no")
+                        observed = any(len(tau) <= m for tau in column)
+                        assert observed == (is_m_good(lam, m, l).status == "yes"), (l, m, lam)
 
     def test_oracle_degree_mismatch(self):
         from trunksym.fock import decomposition_matrix
 
         mat = decomposition_matrix(2, 2)
-        with pytest.raises(ValueError):
-            is_m_good(P((2, 1)), 1, 2, oracle=mat)
+        with pytest.raises(ValueError, match="matrix degree"):
+            mat.simple_column(P((2, 1)))
 
 
 class TestEnumerate:

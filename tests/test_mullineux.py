@@ -81,18 +81,39 @@ class TestLEdge:
                     assert lam.degree - out.degree == l_edge(lam, l).size
 
 
+def _reference_components(lam: Partition, l: int) -> list[Partition]:
+    """Row blocks by the component formula: the first block is
+    (lam_1..lam_h) with h minimal such that lam_1 - lam_(h+1) + h >= l (the
+    whole partition when nothing fires), then recurse on the remainder."""
+    comps: list[Partition] = []
+    rest = lam
+    while rest:
+        h = len(rest)
+        for cand in range(1, len(rest) + 1):
+            if rest[0] - rest.part(cand + 1) + cand >= l:
+                h = cand
+                break
+        comps.append(Partition(rest[:h]))
+        rest = Partition(rest[h:])
+    return comps
+
+
 class TestComponents:
     def test_examples(self):
         assert mullineux_components(P((2, 2, 1, 1)), 3) == [P((2, 2)), P((1, 1))]
         assert mullineux_components(P((3, 3)), 3) == [P((3, 3))]
         assert mullineux_components(P((4, 1)), 3) == [P((4,)), P((1,))]
+        with pytest.raises(ValueError, match="zero partition"):
+            mullineux_components(EMPTY, 3)
 
     def test_concatenation_and_edge_formula(self):
-        # the rim walk and the component formula are two readings of the edge
+        # the rim walk and the row-by-row component formula are two
+        # readings of the edge
         for l in (2, 3, 4, 5):
             for deg in range(1, 15):
                 for lam in partitions_of(deg):
                     comps = mullineux_components(lam, l)
+                    assert comps == _reference_components(lam, l)
                     flat = []
                     for c in comps:
                         flat.extend(c)

@@ -37,7 +37,7 @@ EXPORTS = {
     ),
     "fock": (
         "DecompositionMatrix", "FockVector", "canonical_column", "column_matrix",
-        "decomposition_matrix", "f_apply", "ladder_monomial", "nabla_multiplicity",
+        "decomposition_matrix", "f_apply", "ladder_monomial", "simple_label",
     ),
     "cache": ("CACHE_GENERATOR", "CacheIntegrityError", "cache_get", "cache_put", "load_or_compute"),
     "suites": ("SuiteReport", "run_suite", "suite_names"),

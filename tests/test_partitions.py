@@ -391,10 +391,8 @@ class TestEnumeration:
 
     def test_filters(self):
         assert all(lam.part(1) <= 2 for lam in partitions_of(6, max_part=2))
-        assert list(partitions_of(4, predicate=lambda p: len(p) == 2)) == [
-            P((3, 1)),
-            P((2, 2)),
-        ]
+        assert list(partitions_of(4, max_len=2)) == [P((4,)), P((3, 1)), P((2, 2))]
+        assert list(partitions_of(6, max_len=2, max_part=3)) == [P((3, 3))]
 
     def test_count_matches_enumeration(self):
         for deg in range(13):
