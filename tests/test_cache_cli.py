@@ -24,7 +24,6 @@ from trunksym.cache import (
     matrix_payload,
 )
 from trunksym.characters import CHAR_DEGREE_CAP, CHAR_WORK_CAP, check_char_cost
-from trunksym.classify import is_m_special
 from trunksym.suites import run_suite, suite_names
 from trunksym import cache as cache_mod
 from trunksym import cli
@@ -386,10 +385,12 @@ class TestReports:
 
 
 class TestSpecialVerdictSchema:
-    def test_verdicts_validate(self):
+    def test_verdicts_validate(self, capsys):
         schema = load_schema("special-verdict.schema.json")
-        for lam, m, l in ((P((4, 2)), 2, 3), (P((5, 1)), 1, 3), (P((2, 2)), 2, 2)):
-            jsonschema.validate(is_m_special(lam, m, l).to_json(), schema)
+        for parts, m, l in (("4,2", 2, 3), ("5,1", 1, 3), ("2,2", 2, 2)):
+            for flags in ((), ("--witness",)):
+                assert main(["special", parts, "--l", str(l), "--m", str(m), *flags]) == 0
+                jsonschema.validate(json.loads(capsys.readouterr().out), schema)
 
 
 class TestCli:
@@ -422,6 +423,34 @@ class TestCli:
     def test_special_without_witness_flag(self, capsys):
         assert main(["special", "4,2", "--l", "3", "--m", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["witness"] is None
+
+    def test_plain_special_runs_no_search(self, capsys, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("special without --witness searched for a witness")
+
+        monkeypatch.setattr("trunksym.classify._distinguished_search", no_search)
+        assert main(["special", "2,2", "--l", "2", "--m", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"rule": "steinberg-reduction", "special": True, "witness": None}
+
+    def test_special_large_label_is_decided(self, capsys):
+        # decided by the rule alone; the witness would be 1000 copies of (1, (1))
+        assert main(["special", "1000", "--l", "2", "--m", "1000"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"rule": "steinberg-reduction", "special": True, "witness": None}
+
+    @pytest.mark.parametrize("witness", [None, ((1, P((4, 2))),)])
+    def test_special_invalid_witness_exit_code(self, capsys, monkeypatch, witness):
+        monkeypatch.setattr(
+            "trunksym.classify.distinguished_decomposition", lambda lam, m, l: witness
+        )
+        assert main(["special", "4,2", "--l", "3", "--m", "2", "--witness"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: classifier accepted Partition([4, 2]) but no valid witness was built "
+            "(input: trunksym special 4,2 --l 3 --m 2 --witness)\n"
+        )
 
     def test_good(self, capsys):
         assert main(["good", "3", "--l", "2", "--m", "2"]) == 0
@@ -663,6 +692,19 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (
             "internal error: invariant violated (input: trunksym special 4,2 --l 3 --m 2)\n"
+        )
+
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_size_errors_are_usage_errors(self, capsys, monkeypatch, error):
+        def exhausted(lam, m, l):
+            raise error()
+
+        monkeypatch.setattr("trunksym.classify.is_m_special", exhausted)
+        assert main(["special", "4,2", "--l", "3", "--m", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {error.__name__}, input too large (input: trunksym special 4,2 --l 3 --m 2)\n"
         )
 
     def test_decomp_matrix_cap(self, capsys):

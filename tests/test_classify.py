@@ -20,6 +20,7 @@ from trunksym.partitions import (
 )
 from trunksym.mullineux import mullineux_length
 from trunksym.classify import (
+    SpecialVerdict,
     _distinguished_search,
     _sub_partitions,
     distinguished_decomposition,
@@ -148,14 +149,12 @@ class TestPhi:
 
 class TestSpecialClassifier:
     def test_examples(self):
-        verdict = is_m_special(P((2, 2, 1)), 1, 3)
-        assert verdict.special and verdict.rule == "restricted-mull-length"
-        assert witness_is_valid(P((2, 2, 1)), 1, 3, verdict.witness)
-        verdict = is_m_special(P((4, 2)), 1, 3)
-        assert not verdict.special and verdict.rule == "bound-violation"
-        assert verdict.witness is None
-        verdict = is_m_special(P((4, 2)), 2, 3)
-        assert verdict.special
+        assert is_m_special(P((2, 2, 1)), 1, 3) == SpecialVerdict(True, "restricted-mull-length")
+        witness = distinguished_decomposition(P((2, 2, 1)), 1, 3)
+        assert witness_is_valid(P((2, 2, 1)), 1, 3, witness)
+        assert is_m_special(P((4, 2)), 1, 3) == SpecialVerdict(False, "bound-violation")
+        assert distinguished_decomposition(P((4, 2)), 1, 3) is None
+        assert is_m_special(P((4, 2)), 2, 3).special
 
     def test_rules(self):
         assert is_m_special(P((2, 2)), 2, 2).rule == "steinberg-reduction"
@@ -164,8 +163,7 @@ class TestSpecialClassifier:
 
     def test_json_shape(self):
         payload = is_m_special(P((4, 2)), 2, 3).to_json()
-        assert payload["special"] is True
-        assert payload["witness"] == [[1, [2, 2]], [1, [2]]]
+        assert payload == {"special": True, "rule": "restricted-mull-length"}
 
     def test_monotone_in_m(self):
         for l in (2, 3):
@@ -216,6 +214,11 @@ class TestWitnesses:
                 for lam in partitions_of(deg):
                     for m in range(7):
                         verdict = is_m_special(lam, m, l).to_json()
+                        if verdict["special"]:
+                            witness = distinguished_decomposition(lam, m, l)
+                            verdict["witness"] = [[q, list(eta)] for q, eta in witness]
+                        else:
+                            verdict["witness"] = None
                         line = json.dumps([l, m, list(lam), verdict], sort_keys=True) + "\n"
                         digest.update(line.encode())
                         points += 1
