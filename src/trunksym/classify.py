@@ -16,7 +16,7 @@ no combinatorial criterion is available; the verdict is an honest
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import (
     EMPTY,
@@ -41,8 +41,7 @@ PROV_UNDECIDED = "requires full q-Schur data"
 Witness = tuple[tuple[int, Partition], ...]
 
 
-@dataclass(frozen=True)
-class SpecialVerdict:
+class SpecialVerdict(NamedTuple):
     special: bool
     rule: str
 
@@ -50,8 +49,7 @@ class SpecialVerdict:
         return {"special": self.special, "rule": self.rule}
 
 
-@dataclass(frozen=True)
-class GoodVerdict:
+class GoodVerdict(NamedTuple):
     status: str  # "yes" | "no" | "unknown"
     provenance: str
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import shlex
 import sys
 
 # `--suite` choices, so that building the parser imports no suite code;
@@ -238,16 +237,24 @@ def _cmd_crosscheck(args) -> int:
         "cache_dir": args.cache,
     }
     given = {k: v for k, v in overrides.items() if v is not None}
+    refused = [k for k in given if k not in SUITES[names[0]][1]]
+    if refused and args.suite != "all":
+        # under "all", each suite takes the options it knows
+        key = refused[0]
+        flag = {"ls": "--l", "cache_dir": "--cache"}.get(key, "--" + key.replace("_", "-"))
+        raise ValueError(f"suite {args.suite!r} does not take {flag}")
+    if args.json:
+        # refuse an unwritable report path before any suite runs; "a" leaves
+        # an existing report as it is until the new one replaces it
+        try:
+            open(args.json, "a", encoding="utf-8").close()
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise ValueError(f"cannot write the report to {args.json}: {reason}") from None
     reports = []
     failed = False
     for name in names:
-        defaults = SUITES[name][1]
-        refused = [k for k in given if k not in defaults]
-        if refused and args.suite != "all":
-            key = refused[0]
-            flag = {"ls": "--l", "cache_dir": "--cache"}.get(key, "--" + key.replace("_", "-"))
-            raise ValueError(f"suite {name!r} does not take {flag}")
-        applicable = {k: v for k, v in given.items() if k in defaults}
+        applicable = {k: v for k, v in given.items() if k in SUITES[name][1]}
         print(f"running {name} ...", file=sys.stderr)
         report = run_suite(name, **applicable)
         reports.append(report)
@@ -350,6 +357,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, MemoryError) as exc:
+        import shlex
+
         words = shlex.join(sys.argv[1:] if argv is None else argv)
         # a RecursionError is a RuntimeError, but it is a size limit, not a broken invariant
         if isinstance(exc, (RecursionError, MemoryError)):

@@ -16,7 +16,6 @@ reading made on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -108,8 +107,7 @@ def is_edge_l_connected(lam: Partition, l: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class MullineuxSymbol:
+class MullineuxSymbol(NamedTuple):
     """(edge size, length) pairs of the successive l-edge removal stages."""
 
     rows: tuple[tuple[int, int], ...]

@@ -26,8 +26,11 @@ class Partition(tuple):
         if isinstance(parts, Partition):
             return parts
         pt = tuple(parts)
-        while pt and pt[-1] == 0:
-            pt = pt[:-1]
+        if pt and pt[-1] == 0:
+            end = len(pt) - 1
+            while end and pt[end - 1] == 0:
+                end -= 1
+            pt = pt[:end]
         prev = None
         for p in pt:
             if not isinstance(p, int) or isinstance(p, bool):

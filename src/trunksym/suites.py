@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cache as cache_mod
 from .fock import simple_label
@@ -68,8 +68,7 @@ from .characters import (
 )
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     params: dict
     checked: int

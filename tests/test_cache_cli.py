@@ -4,7 +4,6 @@ import hashlib
 import json
 import shlex
 import sys
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -12,7 +11,7 @@ import jsonschema
 import pytest
 
 from trunksym.partitions import Partition
-from trunksym.fock import column_cap, decomposition_matrix, degree_cap
+from trunksym.fock import DecompositionMatrix, column_cap, decomposition_matrix, degree_cap
 from trunksym.cache import (
     CacheIntegrityError,
     cache_get,
@@ -504,7 +503,8 @@ class TestCli:
         lam, col = P((2, 1)), P((2, 1))
         mat = decomposition_matrix(3, 2)
         assert (P((3,)), col) not in mat.entries
-        tampered = replace(mat, entries={**mat.entries, (P((3,)), col): 1})
+        tampered = DecompositionMatrix(mat.l, mat.degree, mat.rows, mat.cols,
+                                       {**mat.entries, (P((3,)), col): 1})
         cache_put(tmp_path, tampered)
         argv = ["good", "2,1", "--l", "2", "--m", "1", "--oracle", "--cache", str(tmp_path)]
         assert main(argv) == 3
@@ -729,6 +729,19 @@ class TestCli:
         payload = json.loads(out_path.read_text())
         jsonschema.validate(payload, load_schema("suite-report.schema.json"))
         assert payload["failures"] == []
+
+    def test_crosscheck_refuses_unwritable_report_path(self, capsys, tmp_path, monkeypatch):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran before the report path was checked")
+
+        monkeypatch.setattr("trunksym.suites.run_suite", no_suite)
+        for path in (tmp_path / "missing" / "report.json", tmp_path):
+            assert main(["crosscheck", "--suite", "all", "--json", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: cannot write the report to {path}: ")
+            assert captured.err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
     def test_crosscheck_unknown_suite_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -1,6 +1,7 @@
 """The Fock-space oracle: operators, canonical columns, matrices."""
 
 import hashlib
+import weakref
 from itertools import combinations
 
 import pytest
@@ -22,6 +23,7 @@ from trunksym import fock
 from trunksym.mullineux import mullineux, mullineux_length
 from trunksym.fock import (
     ColumnTable,
+    DecompositionMatrix,
     FockVector,
     canonical_column,
     column_cap,
@@ -314,6 +316,22 @@ class TestMatrices:
             mat.entry(P((2,)), P((1, 1)))  # not 2-regular
         with pytest.raises(ValueError):
             mat.entry(P((3,)), P((2,)))
+
+    def test_value_semantics(self):
+        # compared field by field, unhashable, read-only (cache.matrix_payload
+        # memoises by identity under a weak reference)
+        mat = decomposition_matrix(3, 2)
+        same = DecompositionMatrix(2, 3, mat.rows, mat.cols, dict(mat.entries))
+        assert same == mat and repr(same) == repr(mat)
+        assert mat != DecompositionMatrix(3, 3, mat.rows, mat.cols, mat.entries)
+        assert weakref.ref(mat)() is mat
+        with pytest.raises(TypeError):
+            hash(mat)
+        with pytest.raises(AttributeError):
+            mat.entries = {}
+        with pytest.raises(AttributeError):
+            del mat.rows
+        assert mat == same
 
     def test_degree_caps(self):
         for l in (2, 5):

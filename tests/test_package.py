@@ -80,15 +80,48 @@ def test_unknown_attribute_and_dir():
     assert sorted(trunksym.__all__) == sorted(n for names in EXPORTS.values() for n in names)
 
 
+# stdlib modules that cost a CLI call milliseconds to import and that no verb needs
+HEAVY = ("dataclasses", "inspect")
+
+# the inputs of CI's "every verb runs in a fresh process" step
+VERB_INPUTS = (
+    ["info", "4,2,1", "--l", "3"],
+    ["mull", "4,2,1", "--l", "3"],
+    ["core", "4,2,1", "--l", "3"],
+    ["special", "4,2", "--l", "3", "--m", "2", "--witness"],
+    ["good", "4,2,1", "--l", "3", "--m", "2", "--oracle", "--cache", "{cache}"],
+    ["enumerate-special", "--l", "3", "--m", "1", "--degree", "5"],
+    ["char", "--m", "2", "--n", "2", "--l", "2", "--degree", "4"],
+    ["decomp-matrix", "--l", "3", "--degree", "6", "--cache", "{cache}"],
+    ["crosscheck", "--suite", "core-residues"],
+)
+
+
+def _fresh(code: str, *args: str) -> list[str]:
+    """Run code in a fresh interpreter; the words of its last stdout line."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          timeout=60, check=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    return proc.stdout.splitlines()[-1].split()
+
+
 def test_parser_imports_only_the_partition_core():
     code = (
         "import sys, trunksym.cli; trunksym.cli.build_parser(); "
-        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'trunksym')))"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'trunksym'"
+        f" or m in {HEAVY!r})))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, check=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
-    assert proc.stdout.split() == ["trunksym", "trunksym.cli", "trunksym.mullineux",
-                                   "trunksym.partitions"]
+    assert _fresh(code) == ["trunksym", "trunksym.cli", "trunksym.mullineux",
+                            "trunksym.partitions"]
+
+
+@pytest.mark.parametrize("argv", VERB_INPUTS, ids=lambda argv: argv[0])
+def test_no_verb_imports_heavy_modules(argv, tmp_path):
+    code = (
+        "import sys, trunksym.cli; rc = trunksym.cli.main(sys.argv[1:]); "
+        f"print(rc, *sorted(set({HEAVY!r}) & sys.modules.keys()))"
+    )
+    argv = [a.replace("{cache}", str(tmp_path)) for a in argv]
+    assert _fresh(code, *argv) == ["0"]
 
 
 def test_tracer_names_resolve():

@@ -57,6 +57,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             P((3, 0, 1))
 
+    def test_many_trailing_zeros(self):
+        # stripped in one slice: one part at a time is quadratic in their number
+        assert P((2, 1) + (0,) * 100_000) == (2, 1)
+        assert P((0,) * 100_000) == EMPTY
+        with pytest.raises(ValueError, match="positive"):
+            P((1, 0, 1))
+        with pytest.raises(ValueError, match="positive"):
+            P((1, 0, 1) + (0,) * 100_000)
+
     def test_part_and_padding(self):
         lam = P((3, 1))
         assert lam.part(1) == 3 and lam.part(2) == 1 and lam.part(3) == 0
