@@ -26,7 +26,7 @@ _HOMES = {
     "mullineux": (
         "LEdge", "MullineuxSymbol", "add_l_edge", "edge_length", "find_co_suitable_node",
         "find_suitable_node_nonrestricted", "is_edge_l_connected", "l_edge", "mullineux",
-        "mullineux_components", "mullineux_length", "mullineux_symbol", "remove_l_edge", "rim",
+        "mullineux_components", "mullineux_length", "mullineux_symbol", "remove_l_edge",
     ),
     "classify": (
         "GoodVerdict", "SpecialVerdict", "distinguished_decomposition", "enumerate_special",

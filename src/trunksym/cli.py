@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 # `--suite` choices, so that building the parser imports no suite code;
@@ -243,9 +244,12 @@ def _cmd_crosscheck(args) -> int:
         key = refused[0]
         flag = {"ls": "--l", "cache_dir": "--cache"}.get(key, "--" + key.replace("_", "-"))
         raise ValueError(f"suite {args.suite!r} does not take {flag}")
+    created = False
     if args.json:
         # refuse an unwritable report path before any suite runs; "a" leaves
-        # an existing report as it is until the new one replaces it
+        # an existing report as it is until the new one replaces it, and a
+        # file it creates goes again if no report gets written
+        created = not os.path.exists(args.json)
         try:
             open(args.json, "a", encoding="utf-8").close()
         except OSError as exc:
@@ -253,14 +257,19 @@ def _cmd_crosscheck(args) -> int:
             raise ValueError(f"cannot write the report to {args.json}: {reason}") from None
     reports = []
     failed = False
-    for name in names:
-        applicable = {k: v for k, v in given.items() if k in SUITES[name][1]}
-        print(f"running {name} ...", file=sys.stderr)
-        report = run_suite(name, **applicable)
-        reports.append(report)
-        status = "ok" if report.ok else f"FAILED ({len(report.failures)} failures)"
-        print(f"{name}: {report.checked} checks, {status}", file=sys.stderr)
-        failed = failed or not report.ok
+    try:
+        for name in names:
+            applicable = {k: v for k, v in given.items() if k in SUITES[name][1]}
+            print(f"running {name} ...", file=sys.stderr)
+            report = run_suite(name, **applicable)
+            reports.append(report)
+            status = "ok" if report.ok else f"FAILED ({len(report.failures)} failures)"
+            print(f"{name}: {report.checked} checks, {status}", file=sys.stderr)
+            failed = failed or not report.ok
+    except BaseException:
+        if created:
+            os.remove(args.json)
+        raise
     payload = reports[0].to_json() if len(reports) == 1 else [r.to_json() for r in reports]
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -2,21 +2,24 @@
 
 The rim of a partition is the set of nodes with no node diagonally below
 and to the right, traced from the end of the first row down to the foot of
-the first column.  The l-edge selects rim nodes in runs ("segments") of at
-most l, each new run starting at the first rim node strictly below the row
-where the previous run stopped.  Mullineux components are the row blocks
-cut at segment ends; the involution itself is reconstructed stage by stage
-from the symbol of successive l-edge removals.
+the first column; row i holds lam_i - max(1, lam_(i+1)) + 1 of them.  The
+l-edge selects rim nodes in runs ("segments") of at most l, each new run
+starting at the first rim node strictly below the row where the previous
+run stopped.  Every segment starts at a row's first rim node, so the edge
+is a count per row, read in one pass over the rows.  Mullineux components
+are the row blocks cut at segment ends; the involution itself is
+reconstructed stage by stage from the symbol of successive l-edge
+removals, one pass over the rows per stage.
 
-The edge is read once, by the rim walk, and the components are cut from
-it.  The row-by-row component formula (a block ends at the first row h
-with lam_1 - lam_(h+1) + h >= l) is the tests' reference, not a second
-reading made on every call.
+The node-by-node rim walk and the row-by-row component formula (a block
+ends at the first row h with lam_1 - lam_(h+1) + h >= l) are the tests'
+references, not second readings made on every call.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import sub
 from typing import NamedTuple
 
 from .partitions import (
@@ -25,8 +28,6 @@ from .partitions import (
     Partition,
     _check_l,
     is_regular,
-    is_restricted,
-    node_sets,
     remove_node,
     restricted_decompose,
     transpose,
@@ -39,40 +40,34 @@ def edge_length(lam: Partition) -> int:
     return lam[0] + len(lam) - 1 if lam else 0
 
 
-def rim(lam: Partition) -> list[Node]:
-    """The border nodes, ordered from (1, lam_1) to (length, 1)."""
-    lam = Partition(lam)
-    nodes: list[Node] = []
-    for i in range(1, len(lam) + 1):
-        low = max(1, lam.part(i + 1))
-        for j in range(lam[i - 1], low - 1, -1):
-            nodes.append((i, j))
-    return nodes
-
-
 class LEdge(NamedTuple):
-    nodes: tuple[Node, ...]
+    """The l-edge as its number of nodes in each row, top row first."""
+
+    counts: tuple[int, ...]
     size: int
     segment_rows: tuple[int, ...]
 
 
 def l_edge(lam: Partition, l: int) -> LEdge:
-    """Select the l-edge off the rim, in runs of at most l nodes."""
+    """Select the l-edge off the rim, in runs of at most l nodes.
+
+    A run takes min(need, c_i) of row i's c_i rim nodes from successive
+    rows until it holds l nodes or reaches the last row; the next run
+    starts at the first node of the row below.
+    """
     _check_l(l)
     lam = Partition(lam)
-    border = rim(lam)
-    taken: list[Node] = []
+    counts: list[int] = []
     seg_rows: list[int] = []
-    pos = 0
-    while pos < len(border):
-        chunk = border[pos : pos + l]
-        taken.extend(chunk)
-        last_row = chunk[-1][0]
-        seg_rows.append(last_row)
-        pos += len(chunk)
-        while pos < len(border) and border[pos][0] <= last_row:
-            pos += 1
-    return LEdge(tuple(taken), len(taken), tuple(seg_rows))
+    need = l
+    for i, (p, q) in enumerate(zip(lam, lam[1:] + (1,)), 1):
+        take = min(need, p - q + 1)
+        counts.append(take)
+        need -= take
+        if not need or i == len(lam):
+            seg_rows.append(i)
+            need = l
+    return LEdge(tuple(counts), sum(counts), tuple(seg_rows))
 
 
 def mullineux_components(lam: Partition, l: int) -> list[Partition]:
@@ -88,10 +83,7 @@ def mullineux_components(lam: Partition, l: int) -> list[Partition]:
 def remove_l_edge(lam: Partition, l: int) -> Partition:
     """Drop the selected edge nodes row by row; the result is a partition."""
     lam = Partition(lam)
-    counts = [0] * (len(lam) + 1)
-    for i, _ in l_edge(lam, l).nodes:
-        counts[i] += 1
-    return Partition(lam[i - 1] - counts[i] for i in range(1, len(lam) + 1))
+    return Partition(map(sub, lam, l_edge(lam, l).counts))
 
 
 def is_edge_l_connected(lam: Partition, l: int) -> bool:
@@ -145,7 +137,10 @@ def add_l_edge(nu: Partition, a: int, r: int, l: int) -> Partition:
     s = 1 + #{i < e : nu_i - i >= t}; then lam_s = t + s, lam_i = nu_(i-1) + 1
     for s < i <= e, and the next segment ends in row s - 1.  The rebuild
     must end at row 0 with a partition of length r and degree |nu| + a that
-    removes back to nu; otherwise no extension exists.
+    removes back to nu; otherwise no extension exists.  Since nu_i - i
+    strictly decreases, the rows i < e with nu_i - i >= t are the rows
+    above s, so s is found by moving up from row e, and all the segments
+    together take O(r) steps.
     """
     _check_l(l)
     nu = Partition(nu)
@@ -158,7 +153,9 @@ def add_l_edge(nu: Partition, a: int, r: int, l: int) -> Partition:
         if e < 1:
             raise ValueError("no edge extension")
         t = z + nu.part(e) - e
-        s = 1 + sum(1 for i in range(1, e) if nu.part(i) - i >= t)
+        s = e
+        while s > 1 and nu.part(s - 1) - (s - 1) < t:
+            s -= 1
         parts[s] = t + s
         for i in range(s + 1, e + 1):
             parts[i] = nu.part(i - 1) + 1
@@ -203,11 +200,6 @@ def mullineux_length(mu: Partition, l: int) -> int:
 # constructive node selectors
 
 
-def _postcondition(ok: bool, message: str) -> None:
-    if not ok:
-        raise RuntimeError(message)
-
-
 def find_co_suitable_node(mu: Partition, l: int) -> Node:
     """A co-suitable node whose removal keeps regularity and Mullineux length.
 
@@ -248,15 +240,8 @@ def find_co_suitable_node(mu: Partition, l: int) -> Node:
             if is_regular(remove_node(mu, (row, col)), l):
                 node = (row, col)
                 break
-    _postcondition(node is not None, f"no co-suitable node found for {mu} at l={l}")
-    assert node is not None
-    mu_r = remove_node(mu, node)
-    _postcondition(node in node_sets(mu, l).co_suitable, f"{node} is not co-suitable in {mu}")
-    _postcondition(is_regular(mu_r, l), f"removing {node} from {mu} loses l-regularity")
-    _postcondition(
-        mullineux_length(mu_r, l) == mullineux_length(mu, l),
-        f"removing {node} from {mu} changed the Mullineux length",
-    )
+    if node is None:
+        raise RuntimeError(f"no co-suitable node found for {mu} at l={l}")
     return node
 
 
@@ -265,8 +250,8 @@ def find_suitable_node_nonrestricted(lam: Partition, l: int) -> Node:
     co-suitable node of the transposed restricted part.
 
     Requires the scaled part no longer than the restricted part and the
-    transpose of the restricted part edge l-disconnected.  All the
-    advertised properties of the three related nodes are hard-checked.
+    transpose of the restricted part edge l-disconnected.  Suite
+    edge-structure checks the node's advertised properties.
     """
     _check_l(l)
     lam = Partition(lam)
@@ -278,20 +263,5 @@ def find_suitable_node_nonrestricted(lam: Partition, l: int) -> Node:
     mu = transpose(head)
     if is_edge_l_connected(mu, l):
         raise ValueError("precondition violated: transposed restricted part is edge l-connected")
-    r_node = find_co_suitable_node(mu, l)
-    i = r_node[1]
-    s_node = (i, lam.part(i))
-    s0_node = (i, head.part(i))
-    _postcondition(r_node == (head.part(i), i), "transpose bookkeeping broke")
-    _postcondition(
-        s_node in node_sets(lam, l).suitable, f"{s_node} is not suitable in {lam}"
-    )
-    _postcondition(
-        s0_node in node_sets(head, l).suitable,
-        f"{s0_node} is not suitable in the restricted part {head}",
-    )
-    _postcondition(
-        is_restricted(remove_node(head, s0_node), l),
-        "removal from the restricted part is not restricted",
-    )
-    return s_node
+    i = find_co_suitable_node(mu, l)[1]
+    return (i, lam.part(i))

@@ -344,17 +344,32 @@ def _suite_edge_structure(run: _Run, ls, max_degree, oracle_degree, cache_dir) -
                     )
                 if is_regular(lam, l) and not connected:
                     try:
-                        node = find_co_suitable_node(lam, l)  # postconditions inside
-                        run.check(True, (l, lam), "co-suitable node", node)
+                        node = find_co_suitable_node(lam, l)
                     except (ValueError, RuntimeError) as exc:
                         run.check(False, (l, lam), "co-suitable node", repr(exc))
+                    else:
+                        ok = node in node_sets(lam, l).co_suitable
+                        if ok:
+                            trimmed = remove_node(lam, node)
+                            ok = is_regular(trimmed, l) and (
+                                mullineux_length(trimmed, l) == mullineux_length(lam, l)
+                            )
+                        run.check(ok, (l, lam), "co-suitable node", node)
                 head, tail = restricted_decompose(lam, l)
                 if tail and len(tail) <= len(head) and not is_edge_l_connected(transpose(head), l):
                     try:
                         node = find_suitable_node_nonrestricted(lam, l)
-                        run.check(True, (l, lam), "suitable node", node)
                     except (ValueError, RuntimeError) as exc:
                         run.check(False, (l, lam), "suitable node", repr(exc))
+                    else:
+                        i = node[0]
+                        head_node = (i, head.part(i))
+                        ok = (
+                            node in node_sets(lam, l).suitable
+                            and head_node in node_sets(head, l).suitable
+                            and is_restricted(remove_node(head, head_node), l)
+                        )
+                        run.check(ok, (l, lam), "suitable node", node)
         # core-length criterion via the oracle
         for r in range(1, oracle_degree + 1):
             mat = cache_mod.load_or_compute(l, r, cache_dir=cache_dir)

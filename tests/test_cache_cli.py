@@ -743,6 +743,20 @@ class TestCli:
             assert captured.err.count("\n") == 1
         assert not (tmp_path / "missing").exists()
 
+    def test_crosscheck_internal_error_leaves_no_new_report(self, capsys, tmp_path, monkeypatch):
+        def broken_suite(*args, **kwargs):
+            raise RuntimeError("suite invariant broke")
+
+        monkeypatch.setattr("trunksym.suites.run_suite", broken_suite)
+        path = tmp_path / "report.json"
+        assert main(["crosscheck", "--suite", "all", "--json", str(path)]) == 3
+        assert "internal error: suite invariant broke" in capsys.readouterr().err
+        assert not path.exists()
+        # a report that was there before stays as it was
+        path.write_text("old report\n")
+        assert main(["crosscheck", "--suite", "all", "--json", str(path)]) == 3
+        assert path.read_text() == "old report\n"
+
     def test_crosscheck_unknown_suite_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["crosscheck", "--suite", "nope"])

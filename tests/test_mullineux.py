@@ -13,6 +13,7 @@ from trunksym.partitions import (
     l_core,
     node_sets,
     partitions_of,
+    removable_nodes,
     remove_node,
     remove_rim_hook,
     restricted_decompose,
@@ -31,24 +32,60 @@ from trunksym.mullineux import (
     mullineux_length,
     mullineux_symbol,
     remove_l_edge,
-    rim,
 )
 from trunksym.classify import phi_contains
+import trunksym.suites as suites
 
 P = Partition
 
 
+def _rim(lam: Partition) -> list[tuple[int, int]]:
+    """The border nodes, ordered from (1, lam_1) to (length, 1)."""
+    nodes = []
+    for i in range(1, len(lam) + 1):
+        low = max(1, lam.part(i + 1))
+        for j in range(lam[i - 1], low - 1, -1):
+            nodes.append((i, j))
+    return nodes
+
+
+def _reference_l_edge(lam: Partition, l: int):
+    """The l-edge node by node: walk the rim in runs of at most l nodes,
+    each new run starting at the first rim node below the row where the
+    previous run stopped.  Returns (per-row counts, size, segment rows)."""
+    border = _rim(lam)
+    taken = []
+    seg_rows = []
+    pos = 0
+    while pos < len(border):
+        chunk = border[pos : pos + l]
+        taken.extend(chunk)
+        last_row = chunk[-1][0]
+        seg_rows.append(last_row)
+        pos += len(chunk)
+        while pos < len(border) and border[pos][0] <= last_row:
+            pos += 1
+    counts = [0] * len(lam)
+    for i, _ in taken:
+        counts[i - 1] += 1
+    return tuple(counts), len(taken), tuple(seg_rows)
+
+
+def _reference_remove_l_edge(lam: Partition, l: int) -> Partition:
+    return Partition(p - c for p, c in zip(lam, _reference_l_edge(lam, l)[0]))
+
+
 class TestRim:
     def test_examples(self):
-        assert rim(P((2, 1))) == [(1, 2), (1, 1), (2, 1)]
-        assert rim(P((3, 3))) == [(1, 3), (2, 3), (2, 2), (2, 1)]
-        assert rim(P((1,))) == [(1, 1)]
-        assert rim(EMPTY) == []
+        assert _rim(P((2, 1))) == [(1, 2), (1, 1), (2, 1)]
+        assert _rim(P((3, 3))) == [(1, 3), (2, 3), (2, 2), (2, 1)]
+        assert _rim(P((1,))) == [(1, 1)]
+        assert _rim(EMPTY) == []
 
     def test_count_and_membership(self):
         for deg in range(1, 13):
             for lam in partitions_of(deg):
-                border = rim(lam)
+                border = _rim(lam)
                 assert len(border) == edge_length(lam)
                 body = set()
                 for i in range(1, len(lam) + 1):
@@ -60,11 +97,11 @@ class TestRim:
 
 class TestLEdge:
     def test_examples(self):
-        e = l_edge(P((2, 1)), 2)
-        assert e.size == 3 and e.segment_rows == (1, 2)
-        e = l_edge(P((4, 1)), 3)
-        assert e.size == 4 and set(e.nodes) == {(1, 4), (1, 3), (1, 2), (2, 1)}
-        assert l_edge(P((3, 3)), 3).size == 3
+        assert l_edge(P((2, 1)), 2) == ((2, 1), 3, (1, 2))
+        # the first run stops at (1, 2); the second starts at the first node of row 2
+        assert l_edge(P((4, 1)), 3) == ((3, 1), 4, (1, 2))
+        assert l_edge(P((3, 3)), 3) == ((1, 2), 3, (2,))
+        assert l_edge(EMPTY, 2) == ((), 0, ())
 
     def test_removal_examples(self):
         assert remove_l_edge(P((4, 1)), 3) == P((1,))
@@ -79,6 +116,16 @@ class TestLEdge:
                 for lam in partitions_of(deg):
                     out = remove_l_edge(lam, l)
                     assert lam.degree - out.degree == l_edge(lam, l).size
+
+    def test_counts_match_the_rim_walk(self):
+        pairs = 0
+        for l in range(2, 7):
+            for deg in range(19):
+                for lam in partitions_of(deg):
+                    pairs += 1
+                    assert l_edge(lam, l) == _reference_l_edge(lam, l)
+                    assert remove_l_edge(lam, l) == _reference_remove_l_edge(lam, l)
+        assert pairs == 7985
 
 
 def _reference_components(lam: Partition, l: int) -> list[Partition]:
@@ -107,7 +154,7 @@ class TestComponents:
             mullineux_components(EMPTY, 3)
 
     def test_concatenation_and_edge_formula(self):
-        # the rim walk and the row-by-row component formula are two
+        # the per-row edge and the row-by-row component formula are two
         # readings of the edge
         for l in (2, 3, 4, 5):
             for deg in range(1, 15):
@@ -200,6 +247,33 @@ def _reference_add_l_edge(nu: Partition, a: int, r: int, l: int) -> Partition:
     return matches[0]
 
 
+def _start_row_sum_add_l_edge(nu: Partition, a: int, r: int, l: int) -> Partition:
+    """add_l_edge with each start row counted by a sum over the rows above
+    the segment's end, and the round trip through the rim-walk removal."""
+    nu = Partition(nu)
+    if not (a >= r >= 1):
+        raise ValueError(f"need a >= r >= 1, got a={a}, r={r}")
+    k = -(-a // l)
+    parts = [0] * (r + 1)
+    e = r
+    for z in [a - l * (k - 1)] + [l] * (k - 1):
+        if e < 1:
+            raise ValueError("no edge extension")
+        t = z + nu.part(e) - e
+        s = 1 + sum(1 for i in range(1, e) if nu.part(i) - i >= t)
+        parts[s] = t + s
+        for i in range(s + 1, e + 1):
+            parts[i] = nu.part(i - 1) + 1
+        e = s - 1
+    rows = parts[1:]
+    if e != 0 or rows[-1] < 1 or any(x < y for x, y in zip(rows, rows[1:])):
+        raise ValueError("no edge extension")
+    lam = Partition(rows)
+    if lam.degree != nu.degree + a or _reference_remove_l_edge(lam, l) != nu:
+        raise ValueError("no edge extension")
+    return lam
+
+
 def _extension_or_none(fn, nu, a, r, l):
     try:
         return fn(nu, a, r, l)
@@ -242,6 +316,21 @@ class TestAddLEdge:
                                 add_l_edge, nu, a, r, l
                             ) == _extension_or_none(_reference_add_l_edge, nu, a, r, l)
         assert inputs == 14740
+
+    def test_start_rows_match_the_sum(self):
+        inputs = refused = 0
+        for l in (2, 3, 4):
+            for deg in range(9):
+                for nu in partitions_of(deg):
+                    for a in range(1, 9):
+                        for r in range(1, a + 1):
+                            inputs += 1
+                            built = _extension_or_none(add_l_edge, nu, a, r, l)
+                            assert built == _extension_or_none(
+                                _start_row_sum_add_l_edge, nu, a, r, l
+                            )
+                            refused += built is None
+        assert inputs == 7236 and 0 < refused < inputs
 
 
 class TestMullineux:
@@ -356,6 +445,13 @@ class TestStructuralEdgeFacts:
                             assert (j - i) % l != corner
 
 
+def _is_co_suitable_keeping_length(mu: Partition, l: int, node) -> bool:
+    if node not in node_sets(mu, l).co_suitable:
+        return False
+    trimmed = remove_node(mu, node)
+    return is_regular(trimmed, l) and mullineux_length(trimmed, l) == mullineux_length(mu, l)
+
+
 class TestNodeSelectors:
     def test_co_suitable_examples(self):
         assert find_co_suitable_node(P((4, 1)), 3) == (1, 4)
@@ -371,11 +467,7 @@ class TestNodeSelectors:
                 for mu in partitions_of(deg):
                     if not is_regular(mu, l) or is_edge_l_connected(mu, l):
                         continue
-                    node = find_co_suitable_node(mu, l)
-                    assert node in node_sets(mu, l).co_suitable
-                    trimmed = remove_node(mu, node)
-                    assert is_regular(trimmed, l)
-                    assert mullineux_length(trimmed, l) == mullineux_length(mu, l)
+                    assert _is_co_suitable_keeping_length(mu, l, find_co_suitable_node(mu, l))
 
     def test_suitable_preconditions(self):
         with pytest.raises(ValueError, match="precondition"):
@@ -406,3 +498,40 @@ class TestNodeSelectors:
                     assert is_regular(mu_r, l)
                     assert mullineux_length(mu_r, l) == mullineux_length(mu, l)
         assert hits > 0
+
+    @pytest.mark.parametrize("family", ["removable", "suitable", "co_suitable"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_edge_structure_checks_every_selected_node(self, family, k, monkeypatch):
+        # the selectors check none of their node's properties; suite
+        # edge-structure does, one check per node.  With both selectors
+        # returning the k-th node of one family instead (or of the removable
+        # nodes, when the family is empty), it must fail exactly where that
+        # node lacks a property.
+        def kth_node(lam, l):
+            nodes = getattr(node_sets(lam, l), family) or removable_nodes(lam)
+            return nodes[k % len(nodes)]
+
+        expected = set()
+        for l in (2, 3):
+            for deg in range(1, 11):
+                for lam in partitions_of(deg):
+                    node = kth_node(lam, l)
+                    if is_regular(lam, l) and not is_edge_l_connected(lam, l):
+                        if not _is_co_suitable_keeping_length(lam, l, node):
+                            expected.add((str((l, lam)), "co-suitable node"))
+                    head, tail = restricted_decompose(lam, l)
+                    if tail and len(tail) <= len(head) and not is_edge_l_connected(transpose(head), l):
+                        head_node = (node[0], head.part(node[0]))
+                        if not (
+                            node in node_sets(lam, l).suitable
+                            and head_node in node_sets(head, l).suitable
+                            and is_restricted(remove_node(head, head_node), l)
+                        ):
+                            expected.add((str((l, lam)), "suitable node"))
+        assert suites.run_suite("edge-structure").failures == []
+        monkeypatch.setattr(suites, "find_co_suitable_node", kth_node)
+        monkeypatch.setattr(suites, "find_suitable_node_nonrestricted", kth_node)
+        report = suites.run_suite("edge-structure")
+        assert report.checked == 292
+        assert expected
+        assert {(f["input"], f["expected"]) for f in report.failures} == expected
