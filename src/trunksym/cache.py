@@ -225,7 +225,6 @@ def load_or_compute(
     l: int,
     r: int,
     cache_dir=None,
-    force: bool = False,
     allow_large: bool = False,
     progress=None,
     on_miss=None,
@@ -238,7 +237,7 @@ def load_or_compute(
     warning on the diagnostic stream.
     """
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    if directory is not None and not force:
+    if directory is not None:
         try:
             cached = cache_get(directory, l, r)
         except CacheIntegrityError as exc:

@@ -9,7 +9,8 @@ precondition errors (also an input that runs out of stack or memory), 3 an
 internal invariant violation (RuntimeError), reported as one
 "internal error: ..." line that names the input.
 Progress and warnings go to stderr only.  Each handler imports the
-modules it runs, so a call loads only what its verb needs.
+modules it runs, so a call loads only what its verb needs.  Suite names
+and grids live in suites.SUITES alone; crosscheck reads them at parse time.
 """
 
 from __future__ import annotations
@@ -18,20 +19,6 @@ import argparse
 import json
 import os
 import sys
-
-# `--suite` choices, so that building the parser imports no suite code;
-# tests pin this to suites.suite_names()
-SUITE_NAMES = (
-    "mullineux-involution",
-    "llt-mullineux-crosscheck",
-    "phi-bijection",
-    "special-decomposition",
-    "oracle-mull-length",
-    "reciprocity-removal",
-    "edge-structure",
-    "characters",
-    "core-residues",
-)
 
 
 def _dump(payload) -> None:
@@ -51,6 +38,38 @@ def _int_option(text: str) -> int:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(map(_int_option, text.split(",")))
+
+
+def _suite_name(text: str) -> str:
+    """A suite's name or "all"; suites loads only when crosscheck is parsed."""
+    from .suites import suite_names
+
+    known = [*suite_names(), "all"]
+    if text not in known:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, known))})"
+        )
+    return text
+
+
+# crosscheck's grid flags: suite parameter -> (flag, type).  A suite takes a
+# flag when its grid in suites.SUITES has the parameter; run_suite checks values
+_GRID_FLAGS = {
+    "ls": ("--l", _int_list),
+    "max_degree": ("--max-degree", _int_option),
+    "max_m": ("--max-m", _int_option),
+    "max_l": ("--max-l", _int_option),
+    "max_n": ("--max-n", _int_option),
+    "max_r": ("--max-r", _int_option),
+    "oracle_degree": ("--oracle-degree", _int_option),
+    "orders": ("--orders", _int_option),
+    "seed": ("--seed", _int_option),
+    "cache_dir": ("--cache", str),
+}
 
 
 def _parts_argument(parser: argparse.ArgumentParser) -> None:
@@ -213,7 +232,6 @@ def _cmd_decomp_matrix(args) -> int:
         args.l,
         args.degree,
         cache_dir=args.cache,
-        force=args.force,
         allow_large=args.unsafe_large,
         progress=lambda msg: print(msg, file=sys.stderr),
     )
@@ -222,28 +240,14 @@ def _cmd_decomp_matrix(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    from .suites import SUITES, run_suite
+    from .suites import SUITES, run_suite, suite_names
 
-    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    overrides = {
-        "ls": tuple(int(x) for x in args.l.split(",")) if args.l else None,
-        "max_degree": args.max_degree,
-        "max_m": args.max_m,
-        "max_l": args.max_l,
-        "max_n": args.max_n,
-        "max_r": args.max_r,
-        "oracle_degree": args.oracle_degree,
-        "orders": args.orders,
-        "seed": args.seed,
-        "cache_dir": args.cache,
-    }
-    given = {k: v for k, v in overrides.items() if v is not None}
-    refused = [k for k in given if k not in SUITES[names[0]][1]]
+    given = {k: getattr(args, k) for k in _GRID_FLAGS if getattr(args, k) is not None}
+    names = suite_names() if args.suite == "all" else [args.suite]
+    refused = [_GRID_FLAGS[k][0] for k in given if k not in SUITES[names[0]][1]]
     if refused and args.suite != "all":
-        # under "all", each suite takes the options it knows
-        key = refused[0]
-        flag = {"ls": "--l", "cache_dir": "--cache"}.get(key, "--" + key.replace("_", "-"))
-        raise ValueError(f"suite {args.suite!r} does not take {flag}")
+        # under "all", each suite takes the flags it knows
+        raise ValueError(f"suite {args.suite!r} does not take {refused[0]}")
     created = False
     if args.json:
         # refuse an unwritable report path before any suite runs; "a" leaves
@@ -335,22 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=_int_option, required=True)
     p.add_argument("--degree", type=_int_option, required=True)
     p.add_argument("--cache", default=None, help="matrix cache directory")
-    p.add_argument("--force", action="store_true", help="recompute even when cached")
     p.add_argument("--unsafe-large", action="store_true", help="ignore the degree cap")
     p.set_defaults(fn=_cmd_decomp_matrix)
 
     p = sub.add_parser("crosscheck", help="run an invariant suite (or all)")
-    p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
-    p.add_argument("--l", default=None, help='comma list of characteristics, e.g. "2,3"')
-    p.add_argument("--max-degree", type=_int_option, default=None)
-    p.add_argument("--max-m", type=_int_option, default=None)
-    p.add_argument("--max-l", type=_int_option, default=None)
-    p.add_argument("--max-n", type=_int_option, default=None)
-    p.add_argument("--max-r", type=_int_option, default=None)
-    p.add_argument("--oracle-degree", type=_int_option, default=None)
-    p.add_argument("--orders", type=_int_option, default=None)
-    p.add_argument("--seed", type=_int_option, default=None)
-    p.add_argument("--cache", default=None, help="matrix cache directory")
+    p.add_argument("--suite", required=True, type=_suite_name, help="a suite's name, or all")
+    for param, (flag, kind) in _GRID_FLAGS.items():
+        p.add_argument(flag, dest=param, type=kind)
     p.add_argument("--json", default=None, help="write the report to this path")
     p.set_defaults(fn=_cmd_crosscheck)
 

@@ -117,31 +117,25 @@ def is_restricted(lam: Partition, l: int) -> bool:
     return all(p - q < l for p, q in zip(lam, lam[1:] + (0,)))
 
 
-def _from_diffs(diffs: list[int]) -> Partition:
-    out: list[int] = []
-    total = 0
-    for d in reversed(diffs):
-        total += d
-        out.append(total)
-    out.reverse()
-    return Partition(out)
-
-
 def restricted_decompose(lam: Partition, l: int) -> tuple[Partition, Partition]:
     """The unique split lam = head + l*tail with head l-restricted.
 
-    Built from consecutive differences: reducing each difference mod l
-    yields the restricted head, the quotients assemble the tail.
+    One pass from the bottom row up: each difference lam_i - lam_(i+1)
+    splits by divmod into l times a tail difference plus a head difference
+    below l, and the differences sum upward into the two partitions.
     """
     _check_l(l)
     lam = Partition(lam)
-    n = len(lam)
-    diffs = [lam.part(i) - lam.part(i + 1) for i in range(1, n + 1)]
-    head = _from_diffs([d % l for d in diffs])
-    tail = _from_diffs([d // l for d in diffs])
-    if any(head.part(i) + l * tail.part(i) != lam.part(i) for i in range(1, n + 1)):
-        raise RuntimeError("restricted decomposition failed to reconstruct its input")
-    return head, tail
+    head, tail = [], []
+    h = t = below = 0
+    for p in reversed(lam):
+        q, rem = divmod(p - below, l)
+        t += q
+        h += rem
+        tail.append(t)
+        head.append(h)
+        below = p
+    return Partition(head[::-1]), Partition(tail[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +372,20 @@ def partitions_of(
     slots = r if max_len is None else max_len
 
     def rec(remaining: int, cap: int, left: int) -> Iterator[tuple[int, ...]]:
+        # one level per distinct part value (depth below sqrt(2r)), most
+        # copies first; a branch opens only if its parts can hold the rest
         if remaining == 0:
             yield ()
             return
-        if left == 0 or cap == 0:
-            return
         for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first, left - 1):
-                yield (first,) + rest
+            if first * left < remaining:
+                return
+            for k in range(min(remaining // first, left), 0, -1):
+                rest = remaining - k * first
+                if rest > (first - 1) * (left - k):
+                    break
+                for tail in rec(rest, first - 1, left - k):
+                    yield (first,) * k + tail
 
     for parts in rec(r, top, slots):
         yield Partition(parts)

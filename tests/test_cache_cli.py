@@ -23,7 +23,7 @@ from trunksym.cache import (
     matrix_payload,
 )
 from trunksym.characters import CHAR_DEGREE_CAP, CHAR_WORK_CAP, check_char_cost
-from trunksym.suites import run_suite, suite_names
+from trunksym.suites import SUITES, run_suite, suite_names
 from trunksym import cache as cache_mod
 from trunksym import cli
 from trunksym.cli import main
@@ -614,8 +614,18 @@ class TestCli:
         assert capsys.readouterr().err.endswith("error: argument --l: invalid int value: 'two'\n")
         assert main(["core", "4,2", "--l", " 3 "]) == 0
 
-    def test_suite_choices_pinned(self):
-        assert cli.SUITE_NAMES == tuple(suite_names())
+    def test_suite_names_come_from_the_suites_table(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["crosscheck", "--suite", "nope"])
+        assert err.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        choices = ", ".join(map(repr, suite_names() + ["all"]))
+        assert message.endswith(f"argument --suite: invalid choice: 'nope' (choose from {choices})")
+
+    def test_every_suite_parameter_has_one_flag(self):
+        assert set(cli._GRID_FLAGS) == {key for _, grid in SUITES.values() for key in grid}
+        flags = [flag for flag, _ in cli._GRID_FLAGS.values()]
+        assert len(set(flags)) == len(flags)
 
     def test_decomp_matrix_with_cache(self, capsys, tmp_path):
         assert main(
@@ -641,33 +651,6 @@ class TestCli:
         assert printed == json.loads(cache_path(tmp_path, 3, 6).read_bytes())
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out) == printed
-
-    def test_decomp_matrix_force_recomputes_and_rewrites(self, capsys, tmp_path, monkeypatch):
-        argv = ["decomp-matrix", "--l", "3", "--degree", "6", "--cache", str(tmp_path)]
-        assert main(argv) == 0
-        printed = capsys.readouterr().out
-        written = cache_path(tmp_path, 3, 6).read_bytes()
-        builds, puts = [], []
-        build, put = cache_mod.decomposition_matrix, cache_mod.cache_put
-
-        def no_get(*args):
-            raise AssertionError("--force read the cache")
-
-        def counted_build(*args, **kwargs):
-            builds.append(args)
-            return build(*args, **kwargs)
-
-        def counted_put(*args):
-            puts.append(args)
-            return put(*args)
-
-        monkeypatch.setattr(cache_mod, "cache_get", no_get)
-        monkeypatch.setattr(cache_mod, "decomposition_matrix", counted_build)
-        monkeypatch.setattr(cache_mod, "cache_put", counted_put)
-        assert main(argv + ["--force"]) == 0
-        assert capsys.readouterr().out == printed
-        assert len(builds) == len(puts) == 1
-        assert cache_path(tmp_path, 3, 6).read_bytes() == written
 
     def test_decomp_matrix_reads_a_valid_file(self, capsys, tmp_path, monkeypatch):
         argv = ["decomp-matrix", "--l", "3", "--degree", "6", "--cache", str(tmp_path)]

@@ -18,11 +18,13 @@ from trunksym.partitions import (
     restricted_decompose,
     transpose,
 )
-from trunksym.mullineux import mullineux_length
+from trunksym.mullineux import mullineux_components, mullineux_length
 from trunksym.classify import (
     SpecialVerdict,
     _distinguished_search,
+    _special_bool,
     _sub_partitions,
+    _zero_padding,
     distinguished_decomposition,
     enumerate_special,
     is_distinguished,
@@ -62,6 +64,57 @@ def oracle_special(lam, m, l):
                 if oracle_special(rest, m - q, l):
                     return True
     return False
+
+
+def _scaled_columns(columns, l):
+    """l times the partition whose columns have these lengths, longest first."""
+    return P(l * p for p in transpose(P(columns)))
+
+
+def _constructive_witness(lam, m, l):
+    """A distinguished sum with budget m, built without search.
+
+    Split lam = head + l*tail.  Each Mullineux component c of the head's
+    transpose is a piece (q, transpose(c)) with q its Mullineux length.
+    The columns of tail, longest first, then go (1) to the pieces, up to
+    q - 1 each as scaled columns; (2) to a piece whose head stays
+    (q+1)-distinguished, raising its q by one per column while q + 1 < l;
+    (3) in runs u_1..u_(l-1) to the pair (l-1, (1^u_1) + l*[u_2..u_(l-1)])
+    and (1, ((l-1)^u_1)), costing l; (4) as r < l - 1 leftovers to
+    (r+1, l*[leftovers]).  Zero summands pad what is left of the budget.
+    None when the bound or the budget does not hold.
+    """
+    if lam.part(1) > m * (l - 1):
+        return None
+    head, tail = restricted_decompose(lam, l)
+    comps = mullineux_components(transpose(head), l) if head else []
+    pieces = [[mullineux_length(c, l), transpose(c), []] for c in comps]
+    budget = m - sum(q for q, _, _ in pieces)
+    if budget < 0:
+        return None
+    units = list(transpose(tail))
+    for piece in pieces:
+        take = piece[0] - 1
+        piece[2], units = units[:take], units[take:]
+    for piece in pieces:
+        q, eta, cols = piece
+        while units and budget and q + 1 < l and is_distinguished(eta, q + 1, l):
+            q += 1
+            budget -= 1
+            cols.append(units.pop(0))
+        piece[0] = q
+    witness = [(q, add(eta, _scaled_columns(cols, l))) for q, eta, cols in pieces]
+    while len(units) >= l - 1:
+        run, units = units[: l - 1], units[l - 1 :]
+        budget -= l
+        witness.append((l - 1, add(P((1,) * run[0]), _scaled_columns(run[1:], l))))
+        witness.append((1, P((l - 1,) * run[0])))
+    if units:
+        budget -= len(units) + 1
+        witness.append((len(units) + 1, _scaled_columns(units, l)))
+    if budget < 0:
+        return None
+    return tuple(witness + _zero_padding(budget, l))
 
 
 class TestSuiteOracle:
@@ -239,6 +292,27 @@ class TestWitnesses:
                     for q, eta in pieces:
                         assert is_restricted(eta, l)
                         assert is_distinguished(eta, q, l)
+
+    def test_constructive_witness_decides_and_is_valid(self):
+        # the construction is the large-grid oracle of the classifier: it
+        # finds a witness exactly on the special points, each one valid,
+        # and on restricted labels it is distinguished_decomposition's
+        special = non_restricted = 0
+        for l in range(2, 8):
+            for deg in range(15):
+                for lam in partitions_of(deg):
+                    restricted = is_restricted(lam, l)
+                    for m in range(9):
+                        witness = _constructive_witness(lam, m, l)
+                        assert (witness is not None) == _special_bool(lam, m, l), (lam, m, l)
+                        if witness is None:
+                            continue
+                        special += 1
+                        non_restricted += not restricted
+                        assert witness_is_valid(lam, m, l, witness), (lam, m, l, witness)
+                        if restricted:
+                            assert witness == distinguished_decomposition(lam, m, l)
+        assert (special, non_restricted) == (14988, 5022)
 
 
 class TestLaws:

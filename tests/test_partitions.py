@@ -226,6 +226,29 @@ class TestRestrictedDecompose:
                         {(head, tail)}
                     )
 
+    def test_split_rebuilds_the_input(self):
+        # head + l*tail == lam with head l-restricted and tail a partition:
+        # l 2..8 and degree 0..20 (18,998 pairs), then 50,000 rows of 1
+        def check(lam, l):
+            head, tail = restricted_decompose(lam, l)
+            assert is_restricted(head, l)
+            assert isinstance(tail, Partition) and list(tail) == sorted(tail, reverse=True)
+            assert all(p > 0 for p in tail)
+            padded = zip_longest(head, tail, lam, fillvalue=0)
+            assert all(h + l * t == p for h, t, p in padded), (lam, l)
+
+        pairs = 0
+        for l in range(2, 9):
+            for deg in range(21):
+                for lam in partitions_of(deg):
+                    check(lam, l)
+                    pairs += 1
+        assert pairs == 18998
+        ones = P((1,) * 50000)
+        for l in (2, 3):
+            check(ones, l)
+        assert restricted_decompose(ones, 2) == (ones, EMPTY)
+
 
 def _reference_add_node(lam, node):
     assert node in addable_nodes(lam)
@@ -386,6 +409,25 @@ class TestAssembly:
                         assert b_tail == tail_a
 
 
+def _reference_partitions_of(r, max_len=None, max_part=None):
+    """One recursion level per part, lex-descending: the earlier generator."""
+    top = r if max_part is None else min(r, max_part)
+    slots = r if max_len is None else max_len
+
+    def rec(remaining, cap, left):
+        if remaining == 0:
+            yield ()
+            return
+        if left == 0 or cap == 0:
+            return
+        for first in range(min(remaining, cap), 0, -1):
+            for rest in rec(remaining - first, first, left - 1):
+                yield (first,) + rest
+
+    for parts in rec(r, top, slots):
+        yield Partition(parts)
+
+
 class TestEnumeration:
     def test_examples(self):
         assert list(partitions_of(0)) == [EMPTY]
@@ -402,6 +444,25 @@ class TestEnumeration:
         assert all(lam.part(1) <= 2 for lam in partitions_of(6, max_part=2))
         assert list(partitions_of(4, max_len=2)) == [P((4,)), P((3, 1)), P((2, 2))]
         assert list(partitions_of(6, max_len=2, max_part=3)) == [P((3, 3))]
+
+    def test_matches_one_level_per_part(self):
+        bounds = (None, 0, 1, 2, 3, 5, 9)
+        cases = 0
+        for deg in range(23):
+            for rows in bounds:
+                for top in bounds:
+                    assert list(partitions_of(deg, rows, top)) == list(
+                        _reference_partitions_of(deg, rows, top)
+                    ), (deg, rows, top)
+                    cases += 1
+        assert cases == 1127
+
+    def test_many_equal_parts_do_not_deepen_the_recursion(self):
+        # one level per distinct part: 5,000 ones once ran out of stack
+        assert list(partitions_of(5000, max_part=1)) == [P((1,) * 5000)]
+        twos = list(partitions_of(1000, max_part=2))
+        assert len(twos) == count_partitions(1000, 1000, 2) == 501
+        assert twos[0] == P((2,) * 500) and twos[-1] == P((1,) * 1000)
 
     def test_count_matches_enumeration(self):
         for deg in range(13):
