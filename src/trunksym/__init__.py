@@ -24,7 +24,7 @@ _HOMES = {
         "restricted_decompose", "rim_hooks", "transpose",
     ),
     "mullineux": (
-        "LEdge", "MullineuxSymbol", "add_l_edge", "edge_length", "find_co_suitable_node",
+        "LEdge", "add_l_edge", "edge_length", "find_co_suitable_node",
         "find_suitable_node_nonrestricted", "is_edge_l_connected", "l_edge", "mullineux",
         "mullineux_components", "mullineux_length", "mullineux_symbol", "remove_l_edge",
     ),
@@ -34,8 +34,8 @@ _HOMES = {
         "restricted_part_mull_length", "witness_is_valid",
     ),
     "characters": (
-        "MonomialChar", "SchurExpansion", "frobenius_stretch", "kostka", "monomials_to_schur",
-        "pieri_h", "schur_to_monomials", "truncated_tensor_char", "verify_graded_free_identity",
+        "MonomialChar", "frobenius_stretch", "kostka", "monomials_to_schur", "pieri_h",
+        "schur_to_monomials", "truncated_tensor_char", "verify_graded_free_identity",
     ),
     "fock": (
         "DecompositionMatrix", "FockVector", "canonical_column", "column_matrix",

@@ -4,7 +4,9 @@ freeness identity relating full and truncated tensor characters.
 
 A symmetric polynomial in n variables is stored on dominant (weakly
 decreasing) exponent vectors only; the coefficient of a dominant vector is
-the coefficient of the whole orbit.  All arithmetic is exact integers.
+the coefficient of the whole orbit.  A Schur expansion is a plain
+{Partition: coefficient} dict with no zero coefficient and no label of
+more than n parts.  All arithmetic is exact integers.
 Power characters are products of one-variable series prod_i h(x_i), so a
 monomial's coefficient is a product of series coefficients; only the graded
 identity multiplies orbits, as its independent check.
@@ -129,45 +131,6 @@ class MonomialChar:
         return f"MonomialChar(n={self.n}, {{{inner}}})"
 
 
-class SchurExpansion:
-    """A finitely supported integer combination of Schur functions."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: Mapping[Partition, int] | None = None):
-        self.n = n
-        clean: dict[Partition, int] = {}
-        for lam, c in (coeffs or {}).items():
-            lam = Partition(lam)
-            if len(lam) > n:
-                raise ValueError(f"{lam} has more than {n} parts")
-            if c:
-                clean[lam] = c
-        self.coeffs = clean
-
-    def support(self) -> list[Partition]:
-        return sorted(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SchurExpansion)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"partition": list(lam), "coeff": self.coeffs[lam]}
-            for lam in sorted(self.coeffs, key=lambda p: (p.degree, tuple(p)))
-        ]
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{tuple(k)}: {c}" for k, c in sorted(self.coeffs.items()))
-        return f"SchurExpansion(n={self.n}, {{{inner}}})"
-
-
 # ---------------------------------------------------------------------------
 # Kostka numbers and conversion
 
@@ -219,7 +182,7 @@ def schur_to_monomials(lam: Partition, n: int) -> MonomialChar:
     return MonomialChar(n, terms)
 
 
-def monomials_to_schur(chi: MonomialChar) -> SchurExpansion:
+def monomials_to_schur(chi: MonomialChar) -> dict[Partition, int]:
     """Invert the Kostka triangle by peeling dominance-maximal exponents."""
     work = dict(chi.terms)
     out: dict[Partition, int] = {}
@@ -239,14 +202,14 @@ def monomials_to_schur(chi: MonomialChar) -> SchurExpansion:
                 work[k2] = nv
             else:
                 work.pop(k2, None)
-    return SchurExpansion(chi.n, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the Pieri rule
 
 
-def pieri_h(lam: Partition, a: int, n: int) -> SchurExpansion:
+def pieri_h(lam: Partition, a: int, n: int) -> dict[Partition, int]:
     """Multiply by a complete symmetric function: add a horizontal strip."""
     lam = Partition(lam)
     if len(lam) > n:
@@ -267,7 +230,7 @@ def pieri_h(lam: Partition, a: int, n: int) -> SchurExpansion:
             rec(i + 1, remaining - (v - low), prefix + (v,))
 
     rec(1, a, ())
-    return SchurExpansion(n, found)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +297,7 @@ def _check_tensor_args(m: int, n: int, l: int, r: int) -> None:
         raise ValueError("need at least one variable")
 
 
-def truncated_tensor_char(m: int, n: int, l: int, r: int) -> SchurExpansion:
+def truncated_tensor_char(m: int, n: int, l: int, r: int) -> dict[Partition, int]:
     """Schur expansion of the degree-r slice of the m-fold truncated power.
 
     The m-fold power is prod_i g(x_i) with g(x) = (1 + x + ... + x^(l-1))^m
@@ -367,7 +330,7 @@ def truncated_tensor_char(m: int, n: int, l: int, r: int) -> SchurExpansion:
         coef = _det([padded[rows + p - i : rows + p - i + size] for i, p in enumerate(lam)])
         if coef:
             coeffs[lam] = coef
-    return SchurExpansion(n, coeffs)
+    return coeffs
 
 
 # `char` refuses (exit 2) a slice above either cap.  Its cost is a fixed

@@ -4,9 +4,9 @@ A partition is m-special exactly when its first part fits under m(l-1)
 and the Mullineux length of the transposed restricted part is at most m.
 The classifier decides by that rule alone; the sum-of-distinguished-
 partitions witness is built only on request by distinguished_decomposition
-(constructively for restricted input, by an exhaustive search with no bound
-otherwise), and the equivalence of the two views is the business of the
-special-decomposition suite, not an assumption here.
+(constructively for restricted input, by an exhaustive search otherwise,
+both under documented caps), and the equivalence of the two views is the
+business of the special-decomposition suite, not an assumption here.
 
 m-good is decidable for restricted partitions and, inside the reciprocity
 bound, coincides with m-special.  Above the bound for non-restricted input
@@ -108,6 +108,19 @@ def is_m_special(lam: Partition, m: int, l: int) -> SpecialVerdict:
 # ---------------------------------------------------------------------------
 # witness generation
 
+# distinguished_decomposition, and so `special --witness`, refuses (exit 2)
+# above either cap.  A witness lists up to m summands, most of them zero
+# for large m, so the m cap bounds its length (`special 1 --l 2 --m 1000
+# --witness` prints 1000 summands in 0.17 s).  A non-restricted label takes
+# the exhaustive search, which grows exponentially with the degree d.  Over
+# every non-restricted label of degree 24 at l = 2, 3, 4, 5, each at its
+# smallest special m, at m = d and at m = d(l-1) (a larger m searches the
+# same parameters), the slowest search took 0.08 / 0.15 / 0.19 / 0.15 s in
+# process, and 0.13 / 0.18 / 0.21 / 0.19 s at degree 25; the total over a
+# degree's labels grew 2.2-2.8x from degree 22 to 24.  One 2-CPU Xeon host.
+WITNESS_M_CAP = 1000
+WITNESS_SEARCH_DEGREE_CAP = 24
+
 
 def _zero_padding(amount: int, l: int) -> list[tuple[int, Partition]]:
     out: list[tuple[int, Partition]] = []
@@ -190,19 +203,26 @@ def distinguished_decomposition(lam: Partition, m: int, l: int) -> Witness | Non
     Restricted input gets the constructive split: transpose, cut into
     components, transpose back, with each budget the component's Mullineux
     length.  Otherwise the exhaustive search runs with a memo of its own, so
-    a call's cost does not depend on what ran before it.  The search has no
-    bound: `special 24,18,12,6 --l 3 --m 14 --witness` spends about 16 s in it.
+    a call's cost does not depend on what ran before it.  ValueError above
+    WITNESS_M_CAP, or for a search above WITNESS_SEARCH_DEGREE_CAP.
     """
     _check_l(l)
     lam = Partition(lam)
     if m < 0:
         raise ValueError("m must be nonnegative")
+    if m > WITNESS_M_CAP:
+        raise ValueError(f"m = {m} is above the witness cap {WITNESS_M_CAP}")
     if lam.part(1) > m * (l - 1):
         # a q-distinguished partition has first part at most q(l-1)
         return None
     if not lam or not is_restricted(lam, l):
         # the zero partition has no component split: the search gives it
         # zero summands only
+        if lam.degree > WITNESS_SEARCH_DEGREE_CAP:
+            raise ValueError(
+                "the witness of a non-restricted label takes the search, capped at degree "
+                f"{WITNESS_SEARCH_DEGREE_CAP}; this label has degree {lam.degree}"
+            )
         return _distinguished_search(lam, m, l, {})
     comps = mullineux_components(transpose(lam), l)
     pieces = [(mullineux_length(c, l), transpose(c)) for c in comps]

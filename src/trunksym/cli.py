@@ -121,7 +121,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_mull(args) -> int:
-    from .mullineux import mullineux, mullineux_symbol
+    from .mullineux import _conjugate, mullineux_symbol
     from .partitions import parse_partition
 
     lam = parse_partition(args.parts)
@@ -130,8 +130,8 @@ def _cmd_mull(args) -> int:
         {
             "partition": list(lam),
             "l": args.l,
-            "mullineux": list(mullineux(lam, args.l)),
-            "symbol": symbol.to_json(),
+            "mullineux": list(_conjugate(lam, symbol, args.l)),
+            "symbol": symbol,
         }
     )
     return 0
@@ -205,7 +205,7 @@ def _cmd_char(args) -> int:
     expansion = truncated_tensor_char(args.m, args.n, args.l, args.degree)
     # json.dumps would refuse such a coefficient with a message naming no input
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    biggest = max(map(abs, expansion.coeffs.values()), default=0)
+    biggest = max(map(abs, expansion.values()), default=0)
     # 8^limit < 10^limit: below 3 * limit bits, skip building 10^limit
     if limit and biggest.bit_length() > 3 * limit and biggest >= 10**limit:
         raise ValueError(
@@ -219,7 +219,9 @@ def _cmd_char(args) -> int:
             "n": args.n,
             "l": args.l,
             "degree": args.degree,
-            "schur_expansion": expansion.to_json(),
+            "schur_expansion": [
+                {"partition": list(lam), "coeff": c} for lam, c in sorted(expansion.items())
+            ],
         }
     )
     return 0

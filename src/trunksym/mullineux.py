@@ -7,9 +7,10 @@ l-edge selects rim nodes in runs ("segments") of at most l, each new run
 starting at the first rim node strictly below the row where the previous
 run stopped.  Every segment starts at a row's first rim node, so the edge
 is a count per row, read in one pass over the rows.  Mullineux components
-are the row blocks cut at segment ends; the involution itself is
-reconstructed stage by stage from the symbol of successive l-edge
-removals, one pass over the rows per stage.
+are the row blocks cut at segment ends.  The symbol is a plain tuple of
+(edge size, length) pairs, one per successive l-edge removal, and the
+involution is reconstructed from it stage by stage, one pass over the rows
+per stage.
 
 The node-by-node rim walk and the row-by-row component formula (a block
 ends at the first row h with lam_1 - lam_(h+1) + h >= l) are the tests'
@@ -99,20 +100,8 @@ def is_edge_l_connected(lam: Partition, l: int) -> bool:
     )
 
 
-class MullineuxSymbol(NamedTuple):
-    """(edge size, length) pairs of the successive l-edge removal stages."""
-
-    rows: tuple[tuple[int, int], ...]
-
-    @property
-    def degree(self) -> int:
-        return sum(a for a, _ in self.rows)
-
-    def to_json(self) -> list[list[int]]:
-        return [[a, r] for a, r in self.rows]
-
-
-def mullineux_symbol(mu: Partition, l: int) -> MullineuxSymbol:
+def mullineux_symbol(mu: Partition, l: int) -> tuple[tuple[int, int], ...]:
+    """(edge size, length) of each successive l-edge removal stage, top first."""
     _check_l(l)
     mu = Partition(mu)
     if not is_regular(mu, l):
@@ -123,7 +112,7 @@ def mullineux_symbol(mu: Partition, l: int) -> MullineuxSymbol:
         rest = remove_l_edge(stage, l)
         rows.append((stage.degree - rest.degree, len(stage)))
         stage = rest
-    return MullineuxSymbol(tuple(rows))
+    return tuple(rows)
 
 
 def add_l_edge(nu: Partition, a: int, r: int, l: int) -> Partition:
@@ -169,19 +158,24 @@ def add_l_edge(nu: Partition, a: int, r: int, l: int) -> Partition:
     return lam
 
 
-def mullineux(mu: Partition, l: int) -> Partition:
-    """The Mullineux conjugate: flip each symbol row's length and rebuild.
+def _conjugate(mu: Partition, symbol: tuple[tuple[int, int], ...], l: int) -> Partition:
+    """The Mullineux conjugate of mu rebuilt from mu's symbol: flip each
+    row's length and add the stages back, bottom first.
 
     The flipped length is a - r when l divides a and a - r + 1 otherwise;
     add_l_edge rebuilds each stage and round-trips it through remove_l_edge.
     """
-    symbol = mullineux_symbol(mu, l)
     out = EMPTY
-    for a, length in reversed(symbol.rows):
+    for a, length in reversed(symbol):
         out = add_l_edge(out, a, a - length + (0 if a % l == 0 else 1), l)
-    if out.degree != symbol.degree or not is_regular(out, l):
+    if out.degree != sum(a for a, _ in symbol) or not is_regular(out, l):
         raise RuntimeError(f"reconstruction of the conjugate of {mu} went wrong")
     return out
+
+
+def mullineux(mu: Partition, l: int) -> Partition:
+    """The Mullineux conjugate of an l-regular partition."""
+    return _conjugate(mu, mullineux_symbol(mu, l), l)
 
 
 def mullineux_length(mu: Partition, l: int) -> int:

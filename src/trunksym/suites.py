@@ -421,7 +421,7 @@ def _suite_characters(run: _Run, ls, max_m, max_n, max_r) -> None:
         for deg in range(7):
             for tail in partitions_of(deg, max_len=n - 1):
                 for a in range(4):
-                    support = pieri_h(tail, a, n).support()
+                    support = sorted(pieri_h(tail, a, n))
                     minimal = [
                         mu
                         for mu in support
@@ -443,15 +443,15 @@ def _suite_characters(run: _Run, ls, max_m, max_n, max_r) -> None:
                     expansion = truncated_tensor_char(m, n, l, r)
                     oracle = monomials_to_schur(_power_slice(_series_power(l, m, r), n, r))
                     ok = expansion == oracle and all(
-                        lam.part(1) <= m * (l - 1) for lam in expansion.coeffs
+                        lam.part(1) <= m * (l - 1) for lam in expansion
                     )
-                    run.check(ok, ("support-bound", m, n, l, r), oracle.to_json(), expansion.to_json())
+                    run.check(ok, ("support-bound", m, n, l, r), oracle, expansion)
                 rect = truncated_tensor_char(m, n, l, top)
                 run.check(
-                    rect.coeffs == {Partition((m * (l - 1),) * n): 1},
+                    rect == {Partition((m * (l - 1),) * n): 1},
                     ("rectangle", m, n, l),
                     Partition((m * (l - 1),) * n),
-                    rect.support(),
+                    sorted(rect),
                 )
     # full-length decompositions exist exactly under the n(l-1) bound
     for l in ls:

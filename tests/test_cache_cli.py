@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from trunksym.partitions import Partition
+from trunksym.partitions import Partition, format_partition, partitions_of
 from trunksym.fock import DecompositionMatrix, column_cap, decomposition_matrix, degree_cap
 from trunksym.cache import (
     CacheIntegrityError,
@@ -23,12 +23,22 @@ from trunksym.cache import (
     matrix_payload,
 )
 from trunksym.characters import CHAR_DEGREE_CAP, CHAR_WORK_CAP, check_char_cost
+from trunksym.classify import WITNESS_M_CAP, WITNESS_SEARCH_DEGREE_CAP
 from trunksym.suites import SUITES, run_suite, suite_names
 from trunksym import cache as cache_mod
 from trunksym import cli
 from trunksym.cli import main
 
 P = Partition
+
+
+def stdout_digest(capsys, calls) -> str:
+    """sha256 over each call's argv, exit code and stdout, in order."""
+    digest = hashlib.sha256()
+    for argv in calls:
+        code = main(argv)
+        digest.update(f"{shlex.join(argv)} -> {code}\n{capsys.readouterr().out}".encode())
+    return digest.hexdigest()
 
 
 def load_schema(name):
@@ -438,6 +448,43 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"rule": "steinberg-reduction", "special": True, "witness": None}
 
+    def test_special_witness_m_cap(self, capsys):
+        # (1) at l = 2 takes one (1, (1)) and m - 1 zero summands
+        at_cap = ["special", "1", "--l", "2", "--m", str(WITNESS_M_CAP), "--witness"]
+        assert main(at_cap) == 0
+        assert len(json.loads(capsys.readouterr().out)["witness"]) == WITNESS_M_CAP
+        above = ["special", "1", "--l", "2", "--m", str(WITNESS_M_CAP + 1), "--witness"]
+        assert main(above) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"witness cap {WITNESS_M_CAP}" in captured.err
+        # not special: there is no witness to build, so no cap applies
+        above[1] = "3000"
+        assert main(above) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"rule": "bound-violation", "special": False, "witness": None}
+
+    def test_special_witness_search_degree_cap(self, capsys):
+        # (r) at l = 2 is not restricted, special from m = r on, and its
+        # witness is r copies of (1, (1))
+        r = WITNESS_SEARCH_DEGREE_CAP
+        assert main(["special", str(r), "--l", "2", "--m", str(r), "--witness"]) == 0
+        assert json.loads(capsys.readouterr().out)["witness"] == [[1, [1]]] * r
+        for argv in (
+            ["special", str(r + 1), "--l", "2", "--m", str(r + 1)],
+            ["special", "1000", "--l", "2", "--m", "1000"],
+            ["special", "24,18,12,6", "--l", "3", "--m", "14"],
+        ):
+            assert main(argv + ["--witness"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert f"capped at degree {r}" in captured.err
+            # the verdict alone builds no witness, so no cap applies
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["special"] is True
+
     @pytest.mark.parametrize("witness", [None, ((1, P((4, 2))),)])
     def test_special_invalid_witness_exit_code(self, capsys, monkeypatch, witness):
         monkeypatch.setattr(
@@ -526,6 +573,14 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert {"partition": [2], "coeff": 1} in payload["schur_expansion"]
 
+    def test_char_lists_labels_in_lex_order(self, capsys):
+        # the degree-3 slice at l = 3 in 3 variables is s_(2,1) - s_(1,1,1)
+        assert main(["char", "--m", "1", "--n", "3", "--l", "3", "--degree", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["schur_expansion"] == [
+            {"partition": [1, 1, 1], "coeff": -1},
+            {"partition": [2, 1], "coeff": 1},
+        ]
+
     def test_char_preconditions(self, capsys):
         assert main(["char", "--m", "1", "--n", "0", "--l", "2", "--degree", "3"]) == 2
         captured = capsys.readouterr()
@@ -542,6 +597,38 @@ class TestCli:
         assert main(["char", "--m", "4", "--n", "10", "--l", "3", "--degree", "20"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "ec7c4d4e545fdb3915a049dc93aca13162b5071c5e92a93604b617b644472228"
+
+    def test_char_grid_output_pinned(self, capsys):
+        # 975 slices: m 0..4, n 1..5, l 2..4, degree 0..12
+        calls = [
+            ["char", "--m", str(m), "--n", str(n), "--l", str(l), "--degree", str(r)]
+            for m in range(5)
+            for n in range(1, 6)
+            for l in (2, 3, 4)
+            for r in range(13)
+        ]
+        digest = stdout_digest(capsys, calls)
+        assert digest == "a9d290fb4abe48c4499a456ed838d1938db8c5d72c45d9072122c6a4e69a0978"
+
+    @pytest.mark.parametrize(
+        "verb, expected",
+        [
+            ("mull", "a7df15036784e5e2651da9cc335e5adc42ab0758bc75cafa4ed2f1aa0a68f6ac"),
+            ("info", "985da25f499db83f22f9e014795a613e759d7e0bf2a128f0c4987e1f968d9ac3"),
+        ],
+        ids=["mull", "info"],
+    )
+    def test_label_query_output_pinned(self, capsys, verb, expected):
+        # 1,088 labels: every partition of degree 0..12 at l 2..5 (mull
+        # refuses the l-singular ones with exit 2 and no stdout)
+        calls = [
+            [verb, format_partition(lam), "--l", str(l)]
+            for l in (2, 3, 4, 5)
+            for deg in range(13)
+            for lam in partitions_of(deg)
+        ]
+        assert len(calls) == 1088
+        assert stdout_digest(capsys, calls) == expected
 
     def test_char_caps(self, capsys):
         top = str(CHAR_DEGREE_CAP)

@@ -12,7 +12,6 @@ from trunksym.partitions import EMPTY, Partition, dominance_leq, partitions_of, 
 from trunksym import characters
 from trunksym.characters import (
     MonomialChar,
-    SchurExpansion,
     _det,
     _power_slice,
     _series_power,
@@ -186,29 +185,33 @@ class TestKostka:
 class TestSchurConversion:
     def test_examples(self):
         chi = MonomialChar(2, {(1, 1): 1})
-        assert monomials_to_schur(chi).coeffs == {P((1, 1)): 1}
+        assert monomials_to_schur(chi) == {P((1, 1)): 1}
         e1 = MonomialChar(2, {(1, 0): 1})
-        assert monomials_to_schur(e1 * e1).coeffs == {P((2,)): 1, P((1, 1)): 1}
+        assert monomials_to_schur(e1 * e1) == {P((2,)): 1, P((1, 1)): 1}
 
     def test_round_trip(self):
         for n in (2, 3, 4):
             for deg in range(9):
                 for lam in partitions_of(deg, max_len=n):
-                    assert monomials_to_schur(schur_to_monomials(lam, n)).coeffs == {
+                    assert monomials_to_schur(schur_to_monomials(lam, n)) == {
                         lam: 1
                     }
 
     def test_inhomogeneous_and_virtual(self):
         chi = _scaled(schur_to_monomials(P((2,)), 2), -3) + schur_to_monomials(EMPTY, 2)
         out = monomials_to_schur(chi)
-        assert out.coeffs == {P((2,)): -3, EMPTY: 1}
+        assert out == {P((2,)): -3, EMPTY: 1}
+
+    def test_virtual_combination_round_trip(self):
+        chi = _scaled(schur_to_monomials(P((2, 1)), 3), 2) + _scaled(schur_to_monomials(P((3,)), 3), -1)
+        assert monomials_to_schur(chi) == {P((2, 1)): 2, P((3,)): -1}
 
 
 class TestPieri:
     def test_examples(self):
-        assert pieri_h(P((1,)), 1, 2).coeffs == {P((2,)): 1, P((1, 1)): 1}
-        assert pieri_h(P((2,)), 0, 2).coeffs == {P((2,)): 1}
-        assert pieri_h(P((1, 1)), 2, 2).coeffs == {P((3, 1)): 1}
+        assert pieri_h(P((1,)), 1, 2) == {P((2,)): 1, P((1, 1)): 1}
+        assert pieri_h(P((2,)), 0, 2) == {P((2,)): 1}
+        assert pieri_h(P((1, 1)), 2, 2) == {P((3, 1)): 1}
 
     def test_against_multiplication_oracle(self):
         for n in (2, 3):
@@ -224,7 +227,7 @@ class TestPieri:
             for deg in range(7):
                 for tail in partitions_of(deg, max_len=n - 1):
                     for a in range(4):
-                        support = pieri_h(tail, a, n).support()
+                        support = sorted(pieri_h(tail, a, n))
                         minimal = [
                             mu
                             for mu in support
@@ -248,10 +251,10 @@ class TestTruncatedPowers:
                 assert _power_slice([1] * l, n, top + 1).is_zero()
 
     def test_tensor_examples(self):
-        assert truncated_tensor_char(1, 3, 3, 2).coeffs == {P((2,)): 1}
+        assert truncated_tensor_char(1, 3, 3, 2) == {P((2,)): 1}
         # degree-2 slice of (1 + (x1+x2) + x1x2)^2 is m_(2) + 4 m_(1,1)
-        assert truncated_tensor_char(2, 2, 2, 2).coeffs == {P((2,)): 1, P((1, 1)): 3}
-        assert truncated_tensor_char(3, 2, 3, 0).coeffs == {EMPTY: 1}
+        assert truncated_tensor_char(2, 2, 2, 2) == {P((2,)): 1, P((1, 1)): 3}
+        assert truncated_tensor_char(3, 2, 3, 0) == {EMPTY: 1}
 
     def test_tensor_support_bound_and_rectangle(self):
         for m in (1, 2):
@@ -259,9 +262,9 @@ class TestTruncatedPowers:
                 for l in (2, 3):
                     top = m * n * (l - 1)
                     for r in range(min(top, 8) + 1):
-                        for lam in truncated_tensor_char(m, n, l, r).coeffs:
+                        for lam in truncated_tensor_char(m, n, l, r):
                             assert lam.part(1) <= m * (l - 1)
-                    assert truncated_tensor_char(m, n, l, top).coeffs == {
+                    assert truncated_tensor_char(m, n, l, top) == {
                         P((m * (l - 1),) * n): 1
                     }
 
@@ -272,14 +275,14 @@ class TestTruncatedPowers:
                 for r in range(5):
                     small = truncated_tensor_char(m, r if r else 1, l, r)
                     big = truncated_tensor_char(m, r + 2, l, r)
-                    for lam, coef in small.coeffs.items():
-                        assert big.coeffs.get(lam, 0) == coef
+                    for lam, coef in small.items():
+                        assert big.get(lam, 0) == coef
 
     def test_large_m_closed_form(self):
         # l = 2: the series is (1 + x)^m, so the degree-2 slice in two
         # variables is C(m,2) m_(2) + m^2 m_(1,1)
         m = 1000
-        assert truncated_tensor_char(m, 2, 2, 2).coeffs == {
+        assert truncated_tensor_char(m, 2, 2, 2) == {
             P((2,)): m * (m - 1) // 2,
             P((1, 1)): m * m - m * (m - 1) // 2,
         }
@@ -351,7 +354,7 @@ class TestSeriesSlices:
             P((3, 1)): m * comb(m, 3) - comb(m, 4),
             P((2, 2)): comb(m, 2) ** 2 - m * comb(m, 3),
         }
-        assert truncated_tensor_char(m, 2, 2, 4).coeffs == expected
+        assert truncated_tensor_char(m, 2, 2, 4) == expected
 
     def test_power_slice_matches_orbit_products(self):
         for n in range(1, 5):
@@ -422,18 +425,3 @@ class TestGradedIdentity:
             for l in (2, 3):
                 for r in range(13):
                     assert verify_graded_free_identity(1, n, l, r)
-
-
-class TestSchurExpansion:
-    def test_json_order(self):
-        exp = SchurExpansion(3, {P((2,)): 1, P((1, 1)): -2, EMPTY: 3})
-        assert exp.to_json() == [
-            {"partition": [], "coeff": 3},
-            {"partition": [1, 1], "coeff": -2},
-            {"partition": [2], "coeff": 1},
-        ]
-
-    def test_to_monomials_round_trip(self):
-        exp = SchurExpansion(3, {P((2, 1)): 2, P((3,)): -1})
-        chi = _scaled(schur_to_monomials(P((2, 1)), 3), 2) + _scaled(schur_to_monomials(P((3,)), 3), -1)
-        assert monomials_to_schur(chi) == exp
