@@ -7,12 +7,15 @@ payload without the checksum member.  That member sorts first, so the
 reader verifies the checksum over the file's own bytes with the member
 cut out, without encoding the payload again; a file in any other layout
 (pretty-printed, reordered, no final newline) fails that check.  Anything
-that fails the layout, checksum, parsing, schema shape, label checks (every
-row label a weakly decreasing list of positive ints of the header degree,
-the rows every partition of the degree in lex-descending order, the columns
-exactly the l-regular rows in that order), entry checks (plain int indices in
-range, plain positive int values, no position twice) or header match is
-rejected with CacheIntegrityError and recomputed, never silently trusted.
+that fails the layout, checksum, parsing, header match (l and degree plain
+ints equal to the file name's, checked before the labels, whose cost grows
+with the degree), schema shape, label checks (every row label a weakly
+decreasing list of positive ints of the header degree, the rows every
+partition of the degree in lex-descending order, the columns exactly the
+l-regular rows in that order) or entry checks (plain int indices in range,
+plain positive int values, strictly ascending by (row, column), so in the
+order cache_put writes and no position twice) is rejected with
+CacheIntegrityError and recomputed, never silently trusted.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import hashlib
 import json
 import os
 import sys
-import weakref
 from itertools import chain
 from operator import eq, itemgetter, le
 from pathlib import Path
@@ -46,19 +48,16 @@ def _payload_checksum(payload: dict) -> str:
     return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
 
 
-# Payloads of live matrices by id, so that a cold write and the CLI's
-# stdout sort and hash one matrix once; an entry dies with its matrix.
-_PAYLOADS: dict[int, dict] = {}
+# The last matrix whose payload was built, and that payload, so that a cold
+# write and the CLI's stdout sort and hash one matrix once.
+_LAST_PAYLOAD: list = [None, None]
 
 
 def matrix_payload(mat: DecompositionMatrix) -> dict:
-    """The canonical payload of a matrix, built once per matrix object."""
-    key = id(mat)
-    payload = _PAYLOADS.get(key)
-    if payload is None:
-        payload = _PAYLOADS[key] = _build_payload(mat)
-        weakref.finalize(mat, _PAYLOADS.pop, key, None)
-    return payload
+    """The canonical payload of a matrix, built once for the latest matrix."""
+    if _LAST_PAYLOAD[0] is not mat:
+        _LAST_PAYLOAD[:] = mat, _build_payload(mat)
+    return _LAST_PAYLOAD[1]
 
 
 def _build_payload(mat: DecompositionMatrix) -> dict:
@@ -80,6 +79,7 @@ def _build_payload(mat: DecompositionMatrix) -> dict:
 
 
 def matrix_from_payload(payload) -> DecompositionMatrix:
+    """Validate a parsed file whose l and degree cache_get has checked."""
     if not isinstance(payload, dict):
         raise CacheIntegrityError("cache integrity: payload is not an object")
     required = {"generator", "l", "degree", "rows", "cols", "entries", "checksum"}
@@ -90,7 +90,7 @@ def matrix_from_payload(payload) -> DecompositionMatrix:
             f"cache integrity: generator {payload['generator']!r} != {CACHE_GENERATOR!r}"
         )
     try:
-        degree = int(payload["degree"])
+        degree = payload["degree"]
         rows = []
         for p in payload["rows"]:
             # one pass: plain positive ints, weakly decreasing, summing to degree
@@ -118,7 +118,7 @@ def matrix_from_payload(payload) -> DecompositionMatrix:
         # the l-regular rows in order: strictly lex-descending, as many as
         # there are, none with a part equal to the part l - 1 rows below it
         # (each label's pairs side by side, in one pass over all labels)
-        l = int(payload["l"])
+        l = payload["l"]
         upper = chain.from_iterable(map(itemgetter(slice(None, 1 - l)), cols))
         lower = chain.from_iterable(map(itemgetter(slice(l - 1, None)), cols))
         if (
@@ -140,6 +140,8 @@ def matrix_from_payload(payload) -> DecompositionMatrix:
             entries[(rows[ri], cols[ci])] = val
         if len(entries) != len(payload["entries"]):
             raise ValueError("an entry position is repeated")
+        if payload["entries"] != sorted(payload["entries"]):
+            raise ValueError("the entries are not in ascending (row, column) order")
         mat = DecompositionMatrix(
             l=l,
             degree=degree,
@@ -211,10 +213,11 @@ def cache_get(cache_dir, l: int, r: int) -> DecompositionMatrix | None:
         payload = json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CacheIntegrityError(f"cache integrity: unreadable file ({exc})") from exc
-    mat = matrix_from_payload(payload)
-    if mat.l != l or mat.degree != r:
+    # before any label check: their cost grows with the header's degree
+    header = (payload.get("l"), payload.get("degree")) if isinstance(payload, dict) else ()
+    if tuple(map(type, header)) != (int, int) or header != (l, r):
         raise CacheIntegrityError("cache integrity: header does not match file name")
-    return mat
+    return matrix_from_payload(payload)
 
 
 def _warn(message: str) -> None:

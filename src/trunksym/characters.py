@@ -76,13 +76,6 @@ class MonomialChar:
                     del clean[key]
         self.terms = clean
 
-    @classmethod
-    def zero(cls, n: int) -> "MonomialChar":
-        return cls(n)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # -- arithmetic ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -386,10 +379,10 @@ def verify_graded_free_identity(m: int, n: int, l: int, r: int) -> bool:
         raise ValueError("m and r must be nonnegative")
     full = _series_power(r + 1, m, r)
     trunc = _series_power(l, m, r)
-    rhs = MonomialChar.zero(n)
+    rhs = MonomialChar(n)
     for j in range(r // l + 1):
         hbar = _power_slice(trunc, n, r - l * j)
-        if hbar.is_zero():
+        if not hbar.terms:
             continue
         rhs = rhs + hbar * frobenius_stretch(_power_slice(full, n, j), l)
     return _power_slice(full, n, r) == rhs

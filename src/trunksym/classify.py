@@ -45,16 +45,10 @@ class SpecialVerdict(NamedTuple):
     special: bool
     rule: str
 
-    def to_json(self) -> dict:
-        return {"special": self.special, "rule": self.rule}
-
 
 class GoodVerdict(NamedTuple):
     status: str  # "yes" | "no" | "unknown"
     provenance: str
-
-    def to_json(self) -> dict:
-        return {"status": self.status, "provenance": self.provenance}
 
 
 def is_distinguished(lam: Partition, m: int, l: int) -> bool:

@@ -96,6 +96,8 @@ def _cmd_info(args) -> int:
     lam = parse_partition(args.parts)
     l = args.l
     regular, restricted = regularity(lam, l)
+    # first: a label above the Mullineux cap is refused before any other work
+    conjugate = mullineux(lam, l) if regular else None
     head, tail = restricted_decompose(lam, l)
     edge = l_edge(lam, l)
     info = {
@@ -113,7 +115,7 @@ def _cmd_info(args) -> int:
         "edge_size": edge.size,
         "edge_connected": is_edge_l_connected(lam, l),
         "components": [list(c) for c in mullineux_components(lam, l)] if lam else [],
-        "mullineux": list(mullineux(lam, l)) if regular else None,
+        "mullineux": list(conjugate) if regular else None,
         "mullineux_length": mullineux_length(lam, l) if regular else None,
     }
     _dump(info)
@@ -151,7 +153,7 @@ def _cmd_special(args) -> int:
 
     lam = parse_partition(args.parts)
     verdict = is_m_special(lam, args.m, args.l)
-    payload = {**verdict.to_json(), "witness": None}
+    payload = {**verdict._asdict(), "witness": None}
     if args.witness and verdict.special:
         witness = distinguished_decomposition(lam, args.m, args.l)
         if witness is None or not witness_is_valid(lam, args.m, args.l, witness):
@@ -185,7 +187,7 @@ def _cmd_good(args) -> int:
             raise RuntimeError(
                 f"decomposition-number oracle disagrees with the length rule on {lam}"
             )
-    _dump(verdict.to_json())
+    _dump(verdict._asdict())
     return 0
 
 

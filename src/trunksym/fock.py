@@ -44,7 +44,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
 from operator import le, neg
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .partitions import (
     EMPTY,
@@ -395,41 +395,16 @@ def column_cap(l: int) -> int:
     return COLUMN_CAPS.get(l, 36)
 
 
-class DecompositionMatrix:
+class DecompositionMatrix(NamedTuple):
     """Rows all partitions of the degree, columns the l-regular ones (for
     column_matrix, only those that one column needs), entries the
-    canonical-basis coefficients at v = 1.
+    canonical-basis coefficients at v = 1."""
 
-    Read-only once built: cache.matrix_payload memoises each matrix's
-    payload under a weak reference to it."""
-
-    __slots__ = ("l", "degree", "rows", "cols", "entries", "__weakref__")
-
-    def __init__(self, l: int, degree: int, rows: tuple, cols: tuple, entries: dict) -> None:
-        for name, value in zip(self.__slots__, (l, degree, rows, cols, entries)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"a DecompositionMatrix is read-only: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"a DecompositionMatrix is read-only: cannot delete {name!r}")
-
-    def _astuple(self) -> tuple:
-        return self.l, self.degree, self.rows, self.cols, self.entries
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return (
-            f"DecompositionMatrix(l={self.l!r}, degree={self.degree!r}, rows={self.rows!r}, "
-            f"cols={self.cols!r}, entries={self.entries!r})"
-        )
+    l: int
+    degree: int
+    rows: tuple[Partition, ...]
+    cols: tuple[Partition, ...]
+    entries: dict[tuple[Partition, Partition], int]
 
     def entry(self, lam: Partition, mu: Partition) -> int:
         lam, mu = Partition(lam), Partition(mu)

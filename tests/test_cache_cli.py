@@ -4,6 +4,7 @@ import hashlib
 import json
 import shlex
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from trunksym.cache import (
 )
 from trunksym.characters import CHAR_DEGREE_CAP, CHAR_WORK_CAP, check_char_cost
 from trunksym.classify import WITNESS_M_CAP, WITNESS_SEARCH_DEGREE_CAP
+from trunksym.mullineux import MULLINEUX_STEP_CAP, STAGE_ROWS
 from trunksym.suites import SUITES, run_suite, suite_names
 from trunksym import cache as cache_mod
 from trunksym import cli
@@ -357,6 +359,52 @@ class TestPayloadValidation:
         assert main(["decomp-matrix", "--l", "2", "--degree", "6", "--cache", str(tmp_path)]) == 0
         assert path.read_bytes() == fresh
 
+    def test_reversed_entries_rejected_and_rebuilt(self, tmp_path):
+        # the same entries in another order, checksum recomputed: a rebuild
+        # writes them ascending by (row, column)
+        path = cache_put(tmp_path, decomposition_matrix(6, 2))
+        fresh = path.read_bytes()
+        payload = json.loads(fresh)
+        payload["entries"].reverse()
+        payload["checksum"] = cache_mod._payload_checksum(payload)
+        path.write_text(canonical_json(payload) + "\n")
+        with pytest.raises(CacheIntegrityError, match="ascending"):
+            cache_get(tmp_path, 2, 6)
+        assert main(["decomp-matrix", "--l", "2", "--degree", "6", "--cache", str(tmp_path)]) == 0
+        assert path.read_bytes() == fresh
+
+    def test_written_payloads_read_back_to_themselves(self):
+        for l in (2, 3, 4, 5):
+            for r in range(11):
+                written = json.loads(canonical_json(matrix_payload(decomposition_matrix(r, l))))
+                assert cache_mod._build_payload(matrix_from_payload(written)) == written
+
+    @pytest.mark.parametrize(
+        "header",
+        [{"l": 3}, {"degree": 4}, {"degree": "3"}, {"l": 2.0}, {"degree": 3.0}, {"degree": True}],
+        ids=["other-l", "other-degree", "string-degree", "float-l", "float-degree", "bool-degree"],
+    )
+    def test_header_not_the_file_name_rejected(self, tmp_path, header):
+        payload = hand_payload(**header)
+        payload["checksum"] = cache_mod._payload_checksum(payload)
+        cache_path(tmp_path, 2, 3).write_text(canonical_json(payload) + "\n")
+        with pytest.raises(CacheIntegrityError, match="header does not match"):
+            cache_get(tmp_path, 2, 3)
+
+    def test_large_header_degree_rejected_before_label_checks(self, tmp_path, monkeypatch):
+        # counting the partitions of 8000 alone took seconds
+        def no_count(*args):
+            raise AssertionError("counted partitions before checking the header")
+
+        monkeypatch.setattr(cache_mod, "count_partitions", no_count)
+        payload = hand_payload(degree=8000, rows=[], cols=[], entries=[])
+        payload["checksum"] = cache_mod._payload_checksum(payload)
+        cache_path(tmp_path, 2, 3).write_text(canonical_json(payload) + "\n")
+        start = time.perf_counter()
+        with pytest.raises(CacheIntegrityError, match="header does not match"):
+            cache_get(tmp_path, 2, 3)
+        assert time.perf_counter() - start < 0.5
+
     def test_rejected_file_is_recomputed(self, tmp_path, capsys):
         payload = hand_payload(entries=[[0, 0, 1], [1, 1, 1], [2, 0, 1], [-1, 0, 7]])
         payload["checksum"] = cache_mod._payload_checksum(payload)
@@ -418,6 +466,30 @@ class TestCli:
     def test_mull_rejects_non_regular(self, capsys):
         assert main(["mull", "1,1", "--l", "2"]) == 2
         assert "not l-regular" in capsys.readouterr().err
+
+    def test_mull_and_info_step_cap(self, capsys, monkeypatch):
+        def steps(parts):
+            return parts[0] * (len(parts) + STAGE_ROWS)
+
+        # label-queries labels (degree <= 26) cost at most 26 * 33 steps;
+        # CI runs the 3,000-row staircase and (100000) at l = 2
+        assert 1000 * steps((26,)) < MULLINEUX_STEP_CAP
+        assert steps(range(3000, 0, -1)) <= MULLINEUX_STEP_CAP
+        assert steps((100000,)) <= MULLINEUX_STEP_CAP
+        # refused before any stage: the 4,000-row staircase, a 10^6-node row
+        for label in (",".join(map(str, range(4000, 0, -1))), "1000000"):
+            for verb in ("mull", "info"):
+                assert main([verb, label, "--l", "2"]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+                assert f"above the cap {MULLINEUX_STEP_CAP}" in captured.err
+        # a label exactly at the cap runs; with the cap one step lower it is refused
+        for cap, code in ((steps((5, 3, 1)), 0), (steps((5, 3, 1)) - 1, 2)):
+            monkeypatch.setattr(sys.modules["trunksym.mullineux"], "MULLINEUX_STEP_CAP", cap)
+            for verb in ("mull", "info"):
+                assert main([verb, "5,3,1", "--l", "2"]) == code
+                assert (capsys.readouterr().out != "") == (code == 0)
 
     def test_core(self, capsys):
         assert main(["core", "3,1", "--l", "2"]) == 0

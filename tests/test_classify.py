@@ -215,7 +215,7 @@ class TestSpecialClassifier:
         assert not is_m_special(P((1,)), 0, 3).special
 
     def test_json_shape(self):
-        payload = is_m_special(P((4, 2)), 2, 3).to_json()
+        payload = is_m_special(P((4, 2)), 2, 3)._asdict()
         assert payload == {"special": True, "rule": "restricted-mull-length"}
 
     def test_monotone_in_m(self):
@@ -266,7 +266,7 @@ class TestWitnesses:
             for deg in range(13):
                 for lam in partitions_of(deg):
                     for m in range(7):
-                        verdict = is_m_special(lam, m, l).to_json()
+                        verdict = is_m_special(lam, m, l)._asdict()
                         if verdict["special"]:
                             witness = distinguished_decomposition(lam, m, l)
                             verdict["witness"] = [[q, list(eta)] for q, eta in witness]
