@@ -16,6 +16,7 @@ no combinatorial criterion is available; the verdict is an honest
 
 from __future__ import annotations
 
+from operator import sub
 from typing import NamedTuple
 
 from .partitions import (
@@ -51,21 +52,25 @@ class GoodVerdict(NamedTuple):
     provenance: str
 
 
+def _distinguished_params(eta: Partition, l: int) -> tuple[int, ...]:
+    """The q in 1..l-1, ascending, for which eta is q-distinguished: its
+    restricted part is (l-q)^k followed by at most q parts below l-q, and
+    its scaled part has first entry below q."""
+    head, tail = restricted_decompose(eta, l)
+    return tuple(
+        q
+        for q in range(tail.part(1) + 1, l - max(head.part(1), 1) + 1)
+        if len(head) - head.count(l - q) <= q
+    )
+
+
 def is_distinguished(lam: Partition, m: int, l: int) -> bool:
-    """Restricted part = (l-m)^k followed by at most m parts below l-m,
-    scaled part with first entry below m.  Needs 0 < m < l; the zero
-    partition qualifies for every admissible m."""
+    """Whether lam is m-distinguished.  Needs 0 < m < l; the zero partition
+    qualifies for every admissible m."""
     _check_l(l)
     if not 0 < m < l:
         raise ValueError("distinguished undefined")
-    lam = Partition(lam)
-    head, tail = restricted_decompose(lam, l)
-    if tail.part(1) >= m:
-        return False
-    if head.part(1) > l - m:
-        return False
-    k = sum(1 for p in head if p == l - m)
-    return len(head) - k <= m
+    return m in _distinguished_params(Partition(lam), l)
 
 
 def phi_contains(lam: Partition, m: int, l: int) -> bool:
@@ -105,13 +110,15 @@ def is_m_special(lam: Partition, m: int, l: int) -> SpecialVerdict:
 # distinguished_decomposition, and so `special --witness`, refuses (exit 2)
 # above either cap.  A witness lists up to m summands, most of them zero
 # for large m, so the m cap bounds its length (`special 1 --l 2 --m 1000
-# --witness` prints 1000 summands in 0.17 s).  A non-restricted label takes
-# the exhaustive search, which grows exponentially with the degree d.  Over
+# --witness` prints 1000 summands in 0.08-0.13 s as a fresh process).  A
+# non-restricted label takes the exhaustive search, which grows
+# exponentially with the degree d.  Over
 # every non-restricted label of degree 24 at l = 2, 3, 4, 5, each at its
 # smallest special m, at m = d and at m = d(l-1) (a larger m searches the
-# same parameters), the slowest search took 0.08 / 0.15 / 0.19 / 0.15 s in
-# process, and 0.13 / 0.18 / 0.21 / 0.19 s at degree 25; the total over a
-# degree's labels grew 2.2-2.8x from degree 22 to 24.  One 2-CPU Xeon host.
+# same parameters), the slowest search took 0.004 / 0.014 / 0.036 / 0.028 s
+# in process, and 0.004 / 0.022 / 0.059 / 0.054 s at degree 25; the total
+# over a degree's labels grew 1.4-1.9x from degree 22 to 24.  One 2-CPU Xeon
+# host, Python 3.11.
 WITNESS_M_CAP = 1000
 WITNESS_SEARCH_DEGREE_CAP = 24
 
@@ -126,12 +133,15 @@ def _zero_padding(amount: int, l: int) -> list[tuple[int, Partition]]:
 
 
 def _subtract(lam: Partition, eta: Partition) -> Partition:
-    return Partition(lam.part(i) - eta.part(i) for i in range(1, len(lam) + 1))
+    """lam - eta for a sub-partition eta: weakly decreasing, so its zeros trail."""
+    diffs = map(sub, lam, eta + (0,) * (len(lam) - len(eta)))
+    return tuple.__new__(Partition, filter(None, diffs))
 
 
-def _sub_partitions(lam: Partition) -> list[Partition]:
-    """All eta with lam - eta a partition (eta = 0 included), built row by
-    row: max(0, lam_i - (lam_(i-1) - eta_(i-1))) <= eta_i <= min(eta_(i-1), lam_i)."""
+def _sub_partitions(lam: Partition, max_first: int) -> list[Partition]:
+    """All eta with lam - eta a partition and eta_1 <= max_first (eta = 0
+    included), built row by row:
+    max(0, lam_i - (lam_(i-1) - eta_(i-1))) <= eta_i <= min(eta_(i-1), lam_i)."""
     prefixes: list[tuple[int, ...]] = [()]
     for i, part in enumerate(lam):
         grown = []
@@ -140,51 +150,93 @@ def _sub_partitions(lam: Partition) -> list[Partition]:
                 low = max(0, part - (lam[i - 1] - eta[-1]))
                 high = min(eta[-1], part)
             else:
-                low, high = 0, part
+                low, high = 0, min(part, max_first)
             grown.extend(eta + (e,) for e in range(low, high + 1))
         prefixes = grown
-    return [Partition(eta) for eta in prefixes]
+    # rows weakly decrease, so dropping the zeros strips trailing ones
+    return [tuple.__new__(Partition, filter(None, eta)) for eta in prefixes]
 
 
-def _assign(lam: Partition, params: tuple[int, ...], l: int, memo: dict) -> Witness | None:
+class _SearchMemo(NamedTuple):
+    """The exhaustive search's memo for one l, in four tables rather than one
+    dict: a Partition compares equal to the plain tuple of its parts, so in
+    one dict a (nonzero, total) key would meet the label with those parts."""
+
+    distinguished: dict  # eta -> _distinguished_params(eta, l)
+    candidates: dict  # lam -> per q - 1, q's candidate summands of lam
+    parameters: dict  # (nonzero, total) -> the parameter tuples, in search order
+    assigned: dict  # (lam, params) -> the first assignment found, or None
+
+
+def _search_memo() -> _SearchMemo:
+    return _SearchMemo({}, {}, {}, {})
+
+
+def _candidates(lam: Partition, l: int, memo: _SearchMemo) -> list[list[Partition]]:
+    """For each q, the nonzero q-distinguished sub-partitions of lam, degree
+    descending, then lex-descending.  A q-distinguished partition has first
+    part at most q(l-1) <= (l-1)^2, so no larger first part is built."""
+    found = memo.candidates.get(lam)
+    if found is None:
+        found = [[] for _ in range(l - 1)]
+        subs = _sub_partitions(lam, (l - 1) ** 2)
+        subs.sort(key=lambda eta: (sum(eta), eta), reverse=True)
+        for eta in subs:
+            if not eta:
+                continue
+            params = memo.distinguished.get(eta)
+            if params is None:
+                params = memo.distinguished[eta] = _distinguished_params(eta, l)
+            for q in params:
+                found[q - 1].append(eta)
+        memo.candidates[lam] = found
+    return found
+
+
+def _assign(lam: Partition, params: tuple[int, ...], l: int, memo: _SearchMemo) -> Witness | None:
     """Give each parameter q in turn its first q-distinguished summand whose
-    rest the later parameters can take.  The candidates are the nonzero
-    sub-partitions of lam, degree descending, then lex-descending.
-
-    memo belongs to one l: it maps (lam, q) to q's candidates and
-    (lam, params) to the first assignment found."""
+    rest the later parameters can take."""
+    if lam.part(1) > sum(params) * (l - 1):
+        # each summand's first part is at most its q(l-1); this also ends
+        # the search of a nonzero rest once the parameters run out
+        return None
     if not params:
-        return () if lam.degree == 0 else None
+        return ()
     key = (lam, params)
-    if key not in memo:
+    if key not in memo.assigned:
+        memo.assigned[key] = None
         q = params[0]
-        if (lam, q) not in memo:
-            memo[(lam, q)] = sorted(
-                (eta for eta in _sub_partitions(lam) if eta and is_distinguished(eta, q, l)),
-                key=lambda eta: (eta.degree, eta),
-                reverse=True,
-            )
-        memo[key] = None
-        for eta in memo[(lam, q)]:
+        for eta in _candidates(lam, l, memo)[q - 1]:
             tail = _assign(_subtract(lam, eta), params[1:], l, memo)
             if tail is not None:
-                memo[key] = ((q, eta),) + tail
+                memo.assigned[key] = ((q, eta),) + tail
                 break
-    return memo[key]
+    return memo.assigned[key]
 
 
-def _distinguished_search(lam: Partition, m: int, l: int, memo: dict) -> Witness | None:
+def _parameter_tuples(nonzero: int, total: int, l: int, memo: _SearchMemo) -> list[tuple[int, ...]]:
+    """One plus each part of a partition of total - nonzero into at most
+    nonzero parts below l - 1, lex-descending."""
+    key = (nonzero, total)
+    found = memo.parameters.get(key)
+    if found is None:
+        found = memo.parameters[key] = [
+            tuple(1 + extra.part(i) for i in range(1, nonzero + 1))
+            for extra in partitions_of(total - nonzero, max_len=nonzero, max_part=l - 2)
+        ]
+    return found
+
+
+def _distinguished_search(lam: Partition, m: int, l: int, memo: _SearchMemo) -> Witness | None:
     """The exhaustive search for a distinguished sum with total budget m.
 
     Fewest nonzero summands first, then the largest total of their
-    parameters, then parameter tuples lex-descending: one plus each part
-    of a partition of total - nonzero into at most nonzero parts below
-    l - 1.  Zero summands in chunks below l fill the leftover budget.
+    parameters, then parameter tuples lex-descending.  Zero summands in
+    chunks below l fill the leftover budget.  memo belongs to one l.
     """
     for nonzero in range(m + 1):
         for total in range(min(m, nonzero * (l - 1)), nonzero - 1, -1):
-            for extra in partitions_of(total - nonzero, max_len=nonzero, max_part=l - 2):
-                params = tuple(1 + extra.part(i) for i in range(1, nonzero + 1))
+            for params in _parameter_tuples(nonzero, total, l, memo):
                 found = _assign(lam, params, l, memo)
                 if found is not None:
                     return found + tuple(_zero_padding(m - total, l))
@@ -217,7 +269,7 @@ def distinguished_decomposition(lam: Partition, m: int, l: int) -> Witness | Non
                 "the witness of a non-restricted label takes the search, capped at degree "
                 f"{WITNESS_SEARCH_DEGREE_CAP}; this label has degree {lam.degree}"
             )
-        return _distinguished_search(lam, m, l, {})
+        return _distinguished_search(lam, m, l, _search_memo())
     comps = mullineux_components(transpose(lam), l)
     pieces = [(mullineux_length(c, l), transpose(c)) for c in comps]
     used = sum(q for q, _ in pieces)

@@ -78,6 +78,7 @@ def _parts_argument(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_info(args) -> int:
     from .mullineux import (
+        check_step_cap,
         is_edge_l_connected,
         l_edge,
         mullineux,
@@ -95,8 +96,9 @@ def _cmd_info(args) -> int:
 
     lam = parse_partition(args.parts)
     l = args.l
+    # first: a label above the step cap is refused before any other work
+    check_step_cap(lam)
     regular, restricted = regularity(lam, l)
-    # first: a label above the Mullineux cap is refused before any other work
     conjugate = mullineux(lam, l) if regular else None
     head, tail = restricted_decompose(lam, l)
     edge = l_edge(lam, l)

@@ -106,25 +106,32 @@ def is_edge_l_connected(lam: Partition, l: int) -> bool:
 # mullineux_symbol and of the conjugate rebuilt from it, and labels above
 # MULLINEUX_STEP_CAP are refused: the 3,000-row staircase at l = 2 (9.1e6
 # steps) takes about 4 s, the single row (10^6) at l = 2 (3.3e7) about 10 s.
+# `info` refuses every label above the cap, l-regular or not: its transpose
+# and residue content also grow with mu_1 and the degree.
 STAGE_ROWS = 32
 MULLINEUX_STEP_CAP = 10**7
+
+
+def check_step_cap(mu: Partition) -> None:
+    """ValueError when mu_1 * (len(mu) + STAGE_ROWS) is above MULLINEUX_STEP_CAP."""
+    steps = mu.part(1) * (len(mu) + STAGE_ROWS)
+    if steps > MULLINEUX_STEP_CAP:
+        raise ValueError(
+            f"a label with {len(mu)} rows and first part {mu.part(1)} "
+            f"takes up to {steps} row steps, above the cap {MULLINEUX_STEP_CAP}"
+        )
 
 
 def mullineux_symbol(mu: Partition, l: int) -> tuple[tuple[int, int], ...]:
     """(edge size, length) of each successive l-edge removal stage, top first.
 
-    Refuses labels with mu_1 * (len(mu) + STAGE_ROWS) above MULLINEUX_STEP_CAP.
+    Refuses labels above the step cap (check_step_cap).
     """
     _check_l(l)
     mu = Partition(mu)
     if not is_regular(mu, l):
         raise ValueError("not l-regular")
-    steps = mu.part(1) * (len(mu) + STAGE_ROWS)
-    if steps > MULLINEUX_STEP_CAP:
-        raise ValueError(
-            f"the Mullineux map of a label with {len(mu)} rows and first part {mu.part(1)} "
-            f"takes up to {steps} row steps, above the cap {MULLINEUX_STEP_CAP}"
-        )
+    check_step_cap(mu)
     rows: list[tuple[int, int]] = []
     stage = mu
     while stage:

@@ -49,6 +49,7 @@ from .mullineux import (
 )
 from .classify import (
     _distinguished_search,
+    _search_memo,
     _special_bool,
     distinguished_decomposition,
     is_distinguished,
@@ -184,7 +185,7 @@ def _suite_phi_bijection(run: _Run, max_l, max_degree) -> None:
 
 def _suite_special_decomposition(run: _Run, ls, max_m, max_degree) -> None:
     for l in ls:
-        memo: dict = {}
+        memo = _search_memo()
         for deg in range(max_degree + 1):
             for lam in partitions_of(deg):
                 for m in range(1, max_m + 1):

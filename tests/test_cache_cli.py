@@ -484,12 +484,38 @@ class TestCli:
                 assert captured.out == ""
                 assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
                 assert f"above the cap {MULLINEUX_STEP_CAP}" in captured.err
+        # info applies the cap to a label that is not l-regular too
+        assert main(["info", "3000000,3000000", "--l", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"above the cap {MULLINEUX_STEP_CAP}" in captured.err
         # a label exactly at the cap runs; with the cap one step lower it is refused
         for cap, code in ((steps((5, 3, 1)), 0), (steps((5, 3, 1)) - 1, 2)):
             monkeypatch.setattr(sys.modules["trunksym.mullineux"], "MULLINEUX_STEP_CAP", cap)
             for verb in ("mull", "info"):
                 assert main([verb, "5,3,1", "--l", "2"]) == code
                 assert (capsys.readouterr().out != "") == (code == 0)
+
+    def test_info_below_the_step_cap_is_unchanged(self, capsys, monkeypatch):
+        # (3, 3) is not 2-regular and takes 3 * (2 + 32) steps: at the cap its
+        # output is the uncapped one, one step below it is refused
+        assert main(["info", "3,3", "--l", "2"]) == 0
+        expected = capsys.readouterr().out
+        assert json.loads(expected) == {
+            "components": [[3, 3]], "degree": 6, "edge_connected": True, "edge_size": 2,
+            "l": 2, "l_core": [], "l_regular": False, "l_restricted": False, "length": 2,
+            "mullineux": None, "mullineux_length": None, "partition": [3, 3],
+            "residue_content": [3, 3], "restricted_part": [1, 1], "scaled_part": [1, 1],
+            "transpose": [2, 2, 2],
+        }
+        mullineux_module = sys.modules["trunksym.mullineux"]
+        monkeypatch.setattr(mullineux_module, "MULLINEUX_STEP_CAP", 3 * (2 + STAGE_ROWS))
+        assert main(["info", "3,3", "--l", "2"]) == 0
+        assert capsys.readouterr().out == expected
+        monkeypatch.setattr(mullineux_module, "MULLINEUX_STEP_CAP", 3 * (2 + STAGE_ROWS) - 1)
+        assert main(["info", "3,3", "--l", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_core(self, capsys):
         assert main(["core", "3,1", "--l", "2"]) == 0

@@ -21,7 +21,9 @@ from trunksym.partitions import (
 from trunksym.mullineux import mullineux_components, mullineux_length
 from trunksym.classify import (
     SpecialVerdict,
+    _distinguished_params,
     _distinguished_search,
+    _search_memo,
     _special_bool,
     _sub_partitions,
     _zero_padding,
@@ -64,6 +66,57 @@ def oracle_special(lam, m, l):
                 if oracle_special(rest, m - q, l):
                     return True
     return False
+
+
+def reference_is_distinguished(eta, q, l):
+    """The distinguished test read off the definition: restricted part
+    (l-q)^k followed by at most q parts below l-q, scaled part with first
+    entry below q."""
+    head, tail = restricted_decompose(eta, l)
+    if tail.part(1) >= q or head.part(1) > l - q:
+        return False
+    return len(head) - sum(1 for p in head if p == l - q) <= q
+
+
+def _reference_assign(lam, params, l, memo):
+    """The search's assignment step with no pruning: every (lam, q) filters
+    all of lam's sub-partitions again.  memo maps (lam, q) and (lam, params)."""
+    if not params:
+        return () if lam.degree == 0 else None
+    key = (lam, params)
+    if key not in memo:
+        q = params[0]
+        if (lam, q) not in memo:
+            memo[(lam, q)] = sorted(
+                (
+                    eta
+                    for eta in _sub_partitions(lam, lam.part(1))
+                    if eta and reference_is_distinguished(eta, q, l)
+                ),
+                key=lambda eta: (eta.degree, eta),
+                reverse=True,
+            )
+        memo[key] = None
+        for eta in memo[(lam, q)]:
+            rest = P(lam.part(i) - eta.part(i) for i in range(1, len(lam) + 1))
+            tail = _reference_assign(rest, params[1:], l, memo)
+            if tail is not None:
+                memo[key] = ((q, eta),) + tail
+                break
+    return memo[key]
+
+
+def reference_search(lam, m, l, memo):
+    """The distinguished-sum search in the order _distinguished_search keeps,
+    on _reference_assign."""
+    for nonzero in range(m + 1):
+        for total in range(min(m, nonzero * (l - 1)), nonzero - 1, -1):
+            for extra in partitions_of(total - nonzero, max_len=nonzero, max_part=l - 2):
+                params = tuple(1 + extra.part(i) for i in range(1, nonzero + 1))
+                found = _reference_assign(lam, params, l, memo)
+                if found is not None:
+                    return found + tuple(_zero_padding(m - total, l))
+    return None
 
 
 def _scaled_columns(columns, l):
@@ -130,13 +183,40 @@ class TestSuiteOracle:
                     for eta in partitions_of(d, max_len=len(lam) or None, max_part=lam.part(1) or None)
                     if not d or fits_under(lam, eta)
                 ]
-                built = _sub_partitions(lam)
-                assert len(set(built)) == len(built)
-                assert sorted(built) == sorted(box)
+                for max_first in {0, 1, 4, lam.part(1)}:
+                    built = _sub_partitions(lam, max_first)
+                    assert len(set(built)) == len(built)
+                    assert sorted(built) == sorted(eta for eta in box if eta.part(1) <= max_first)
+                    assert all(type(eta) is Partition and P(eta) == eta for eta in built)
+
+    def test_search_matches_reference(self):
+        # the same witness, or None, at every point, whether each call has
+        # a memo of its own or one memo serves every call at an l, as the
+        # special-decomposition suite runs it
+        points = 0
+        for l in (2, 3, 4, 5):
+            reference_memo, shared = {}, _search_memo()
+            for deg in range(13):
+                for lam in partitions_of(deg):
+                    for m in range(7):
+                        expected = reference_search(lam, m, l, reference_memo)
+                        assert _distinguished_search(lam, m, l, shared) == expected, (l, m, lam)
+                        assert _distinguished_search(lam, m, l, _search_memo()) == expected
+                        points += 1
+        assert points == 7616
+
+    def test_search_memo_tables_keep_their_keys_apart(self):
+        # (2, 2) is both a parameter-table key (nonzero, total) and, as a
+        # Partition, a label; each lives in its own table
+        memo = _search_memo()
+        witness = _distinguished_search(P((2, 2)), 2, 2, memo)
+        assert witness == reference_search(P((2, 2)), 2, 2, {}) == ((1, P((1, 1))), (1, P((1, 1))))
+        assert memo.parameters[(2, 2)] == [(1, 1)]
+        assert memo.candidates[P((2, 2))] == [[P((1, 1))]]
 
     def test_brute_force_matches_oracle(self):
         for l in (2, 3, 5):
-            memo = {}
+            memo = _search_memo()
             for deg in range(11):
                 for lam in partitions_of(deg):
                     for m in range(1, 5):
@@ -149,6 +229,17 @@ class TestDistinguished:
         assert is_distinguished(P((8, 3, 2, 1)), 2, 5)
         assert is_distinguished(EMPTY, 1, 3)
         assert not is_distinguished(P((2, 2, 1)), 2, 3)
+
+    def test_matches_reference_formula(self):
+        for l in range(2, 8):
+            for deg in range(13):
+                for eta in partitions_of(deg):
+                    params = _distinguished_params(eta, l)
+                    assert params == tuple(sorted(set(params)))
+                    for q in range(1, l):
+                        expected = reference_is_distinguished(eta, q, l)
+                        assert is_distinguished(eta, q, l) == expected, (eta, q, l)
+                        assert (q in params) == expected
 
     def test_parameter_range(self):
         with pytest.raises(ValueError, match="distinguished undefined"):
