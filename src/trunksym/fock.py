@@ -35,8 +35,8 @@ A matrix holds the canonical columns at v = 1.  For restricted lam, the
 multiplicity [Delta(tau):L(lam)] of the simple module L(lam) in the
 standard module Delta(tau) is the entry (tau, Mull(lam')), where lam' is
 the transpose and Mull the Mullineux map.  simple_label names that
-column and DecompositionMatrix.simple_column reads it; every caller goes
-through these two.
+column and DecompositionMatrix.simple_column reads it, through
+DecompositionMatrix.column; every caller goes through simple_label.
 """
 
 from __future__ import annotations
@@ -414,18 +414,21 @@ class DecompositionMatrix(NamedTuple):
             raise ValueError(f"{mu} is not a column label (not l-regular?)")
         return self.entries.get((lam, mu), 0)
 
+    def column(self, mu: Partition) -> dict[Partition, int]:
+        """Each row tau with a nonzero entry in column mu, mapped to that
+        entry, in row order."""
+        mu = Partition(mu)
+        if mu not in self.cols:
+            raise ValueError(f"{mu} is not a column label of this matrix")
+        entries = self.entries
+        return {tau: a for tau in self.rows if (a := entries.get((tau, mu)))}
+
     def simple_column(self, lam: Partition) -> dict[Partition, int]:
-        """[Delta(tau):L(lam)] for restricted lam: each row tau with a nonzero
-        entry in column simple_label(lam, l), mapped to that entry, in row
-        order."""
+        """[Delta(tau):L(lam)] for restricted lam: column simple_label(lam, l)."""
         lam = Partition(lam)
         if lam.degree != self.degree:
             raise ValueError("label does not have the matrix degree")
-        col = simple_label(lam, self.l)
-        if col not in self.cols:
-            raise ValueError(f"{col} is not a column label of this matrix")
-        entries = self.entries
-        return {tau: a for tau in self.rows if (a := entries.get((tau, col)))}
+        return self.column(simple_label(lam, self.l))
 
 
 def _matrix(l: int, r: int, rows, cols, table: ColumnTable) -> DecompositionMatrix:

@@ -10,7 +10,8 @@ is a count per row, read in one pass over the rows.  Mullineux components
 are the row blocks cut at segment ends.  The symbol is a plain tuple of
 (edge size, length) pairs, one per successive l-edge removal, and the
 involution is reconstructed from it stage by stage, one pass over the rows
-per stage.
+per stage.  Stages run on plain lists of parts; a Partition is built once
+per result.
 
 The node-by-node rim walk and the row-by-row component formula (a block
 ends at the first row h with lam_1 - lam_(h+1) + h >= l) are the tests'
@@ -20,11 +21,10 @@ references, not second readings made on every call.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import sub
+from operator import ge, sub
 from typing import NamedTuple
 
 from .partitions import (
-    EMPTY,
     Node,
     Partition,
     _check_l,
@@ -49,26 +49,51 @@ class LEdge(NamedTuple):
     segment_rows: tuple[int, ...]
 
 
+def _remove_edge(parts: list[int], l: int) -> list[int]:
+    """The rows of a partition, given as a list, less its l-edge; zero rows
+    left at the bottom are dropped.
+
+    Row i has c_i = parts_i - max(1, parts_(i+1)) + 1 rim nodes.  A run
+    takes min(need, c_i) of them from successive rows until it holds l
+    nodes; the next run starts at the row below.  Each new row is checked
+    against the new row above it, so a list that is not a partition cannot
+    come back as one unnoticed.
+    """
+    rest: list[int] = []
+    above = parts[0] if parts else 0
+    need = l
+    for p, q in zip(parts, parts[1:] + [1]):
+        take = p - q + 1
+        if take >= need:
+            take, need = need, l
+        else:
+            need -= take
+        row = p - take
+        if row > above:
+            raise RuntimeError(f"removing the {l}-edge of {parts} broke row {len(rest) + 1}")
+        rest.append(row)
+        above = row
+    while rest and not rest[-1]:
+        rest.pop()
+    return rest
+
+
 def l_edge(lam: Partition, l: int) -> LEdge:
     """Select the l-edge off the rim, in runs of at most l nodes.
 
-    A run takes min(need, c_i) of row i's c_i rim nodes from successive
-    rows until it holds l nodes or reaches the last row; the next run
-    starts at the first node of the row below.
+    The counts are what _remove_edge takes from each row.  Every row gives
+    at least one node and every run but the last holds exactly l, so the
+    runs end at the rows where the running count reaches a multiple of l,
+    and at the last row.
     """
     _check_l(l)
     lam = Partition(lam)
-    counts: list[int] = []
-    seg_rows: list[int] = []
-    need = l
-    for i, (p, q) in enumerate(zip(lam, lam[1:] + (1,)), 1):
-        take = min(need, p - q + 1)
-        counts.append(take)
-        need -= take
-        if not need or i == len(lam):
-            seg_rows.append(i)
-            need = l
-    return LEdge(tuple(counts), sum(counts), tuple(seg_rows))
+    rest = _remove_edge(list(lam), l)
+    counts = tuple(map(sub, lam, rest)) + lam[len(rest) :]  # dropped rows lose all
+    seg_rows = [i for i, c in enumerate(accumulate(counts), 1) if c % l == 0]
+    if lam and seg_rows[-1:] != [len(lam)]:
+        seg_rows.append(len(lam))
+    return LEdge(counts, sum(counts), tuple(seg_rows))
 
 
 def mullineux_components(lam: Partition, l: int) -> list[Partition]:
@@ -78,13 +103,14 @@ def mullineux_components(lam: Partition, l: int) -> list[Partition]:
     if not lam:
         raise ValueError("the zero partition has no component split")
     ends = l_edge(lam, l).segment_rows
-    return [Partition(lam[start:end]) for start, end in zip((0,) + ends, ends)]
+    # a block of rows of a partition is one: no need to validate it again
+    return [tuple.__new__(Partition, lam[start:end]) for start, end in zip((0,) + ends, ends)]
 
 
 def remove_l_edge(lam: Partition, l: int) -> Partition:
     """Drop the selected edge nodes row by row; the result is a partition."""
-    lam = Partition(lam)
-    return Partition(map(sub, lam, l_edge(lam, l).counts))
+    _check_l(l)
+    return Partition(_remove_edge(list(Partition(lam)), l))
 
 
 def is_edge_l_connected(lam: Partition, l: int) -> bool:
@@ -93,19 +119,19 @@ def is_edge_l_connected(lam: Partition, l: int) -> bool:
     lam = Partition(lam)
     if not lam:
         return True
-    comps = mullineux_components(lam, l)
-    return all(
-        comps[i][0] - comps[i + 1][0] + len(comps[i]) == l
-        for i in range(len(comps) - 1)
-    )
+    ends = l_edge(lam, l).segment_rows
+    # the component of rows start+1..end is followed by one starting at row end+1
+    return all(lam[start] - lam[end] + end - start == l for start, end in zip((0,) + ends, ends[:-1]))
 
 
 # A symbol has at most mu_1 stages, since each stage takes a node from row 1,
 # and a stage costs one pass over the rows plus a fixed overhead of about
 # STAGE_ROWS rows.  So mu_1 * (len(mu) + STAGE_ROWS) bounds the row steps of
 # mullineux_symbol and of the conjugate rebuilt from it, and labels above
-# MULLINEUX_STEP_CAP are refused: the 3,000-row staircase at l = 2 (9.1e6
-# steps) takes about 4 s, the single row (10^6) at l = 2 (3.3e7) about 10 s.
+# MULLINEUX_STEP_CAP are refused.  In a fresh process on one 2-CPU Xeon host
+# the 3,000-row staircase at l = 2 (9.1e6 steps) takes about 1.2-1.8 s with
+# `mull`; without the cap the 4,000-row one (1.6e7) would take about 3 s and
+# the single row (10^6) at l = 2 (3.3e7) about 2 s.
 # `info` refuses every label above the cap, l-regular or not: its transpose
 # and residue content also grow with mu_1 and the degree.
 STAGE_ROWS = 32
@@ -133,12 +159,38 @@ def mullineux_symbol(mu: Partition, l: int) -> tuple[tuple[int, int], ...]:
         raise ValueError("not l-regular")
     check_step_cap(mu)
     rows: list[tuple[int, int]] = []
-    stage = mu
+    stage, degree = list(mu), mu.degree
     while stage:
-        rest = remove_l_edge(stage, l)
-        rows.append((stage.degree - rest.degree, len(stage)))
-        stage = rest
+        rest = _remove_edge(stage, l)
+        left = sum(rest)
+        rows.append((degree - left, len(stage)))
+        stage, degree = rest, left
     return tuple(rows)
+
+
+def _add_edge(nu: list[int], a: int, r: int, l: int) -> list[int]:
+    """add_l_edge on the rows of nu given as a list; see there."""
+    if not (a >= r >= 1):
+        raise ValueError(f"need a >= r >= 1, got a={a}, r={r}")
+    v = [0, *nu] + [0] * (r - len(nu))  # v[i] = nu_i, zero past the length
+    w = [x - i for i, x in enumerate(v)]  # nu_i - i
+    rows = [x + 1 for x in v[:r]]  # lam_i = nu_(i-1) + 1 except at segment starts
+    k = -(-a // l)
+    z, e = a - l * (k - 1), r
+    for _ in range(k):
+        if e < 1:
+            raise ValueError("no edge extension")
+        t = z + w[e]
+        s = e
+        while s > 1 and w[s - 1] < t:
+            s -= 1
+        rows[s - 1] = t + s
+        z, e = l, s - 1
+    if e != 0 or rows[-1] < 1 or not all(map(ge, rows, rows[1:])):
+        raise ValueError("no edge extension")
+    if sum(rows) != sum(nu) + a or _remove_edge(rows, l) != nu:
+        raise ValueError("no edge extension")
+    return rows
 
 
 def add_l_edge(nu: Partition, a: int, r: int, l: int) -> Partition:
@@ -158,30 +210,7 @@ def add_l_edge(nu: Partition, a: int, r: int, l: int) -> Partition:
     together take O(r) steps.
     """
     _check_l(l)
-    nu = Partition(nu)
-    if not (a >= r >= 1):
-        raise ValueError(f"need a >= r >= 1, got a={a}, r={r}")
-    k = -(-a // l)
-    parts = [0] * (r + 1)
-    e = r
-    for z in [a - l * (k - 1)] + [l] * (k - 1):
-        if e < 1:
-            raise ValueError("no edge extension")
-        t = z + nu.part(e) - e
-        s = e
-        while s > 1 and nu.part(s - 1) - (s - 1) < t:
-            s -= 1
-        parts[s] = t + s
-        for i in range(s + 1, e + 1):
-            parts[i] = nu.part(i - 1) + 1
-        e = s - 1
-    rows = parts[1:]
-    if e != 0 or rows[-1] < 1 or any(x < y for x, y in zip(rows, rows[1:])):
-        raise ValueError("no edge extension")
-    lam = Partition(rows)
-    if lam.degree != nu.degree + a or remove_l_edge(lam, l) != nu:
-        raise ValueError("no edge extension")
-    return lam
+    return Partition(_add_edge(list(Partition(nu)), a, r, l))
 
 
 def _conjugate(mu: Partition, symbol: tuple[tuple[int, int], ...], l: int) -> Partition:
@@ -189,11 +218,13 @@ def _conjugate(mu: Partition, symbol: tuple[tuple[int, int], ...], l: int) -> Pa
     row's length and add the stages back, bottom first.
 
     The flipped length is a - r when l divides a and a - r + 1 otherwise;
-    add_l_edge rebuilds each stage and round-trips it through remove_l_edge.
+    _add_edge rebuilds each stage on a list and round-trips it through
+    _remove_edge.
     """
-    out = EMPTY
+    rows: list[int] = []
     for a, length in reversed(symbol):
-        out = add_l_edge(out, a, a - length + (0 if a % l == 0 else 1), l)
+        rows = _add_edge(rows, a, a - length + (0 if a % l == 0 else 1), l)
+    out = Partition(rows)
     if out.degree != sum(a for a, _ in symbol) or not is_regular(out, l):
         raise RuntimeError(f"reconstruction of the conjugate of {mu} went wrong")
     return out
@@ -212,7 +243,7 @@ def mullineux_length(mu: Partition, l: int) -> int:
         return 0
     if not is_regular(mu, l):
         raise ValueError("not l-regular")
-    e = l_edge(mu, l).size
+    e = mu.degree - sum(_remove_edge(list(mu), l))
     return e - len(mu) + (0 if e % l == 0 else 1)
 
 

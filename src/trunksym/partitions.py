@@ -73,11 +73,15 @@ def _check_l(l: int) -> None:
 
 
 def transpose(lam: Partition) -> Partition:
-    """The conjugate partition: row j of the result counts parts >= j."""
+    """The conjugate partition: row j of the result counts parts >= j, so
+    the lam_i - lam_(i+1) columns with lam_(i+1) < j <= lam_i hold i."""
     lam = Partition(lam)
-    if not lam:
-        return EMPTY
-    return Partition(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    out: list[int] = []
+    below = 0
+    for i in range(len(lam), 0, -1):
+        out += [i] * (lam[i - 1] - below)
+        below = lam[i - 1]
+    return tuple.__new__(Partition, out)
 
 
 def dominance_leq(lam: Partition, mu: Partition) -> bool:
@@ -230,66 +234,74 @@ def cells(lam: Partition) -> Iterator[Node]:
             yield (i, j)
 
 
-def _connected(strip: frozenset[Node]) -> bool:
-    todo = [next(iter(strip))]
-    seen = {todo[0]}
-    while todo:
-        i, j = todo.pop()
-        for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-            if nb in strip and nb not in seen:
-                seen.add(nb)
-                todo.append(nb)
-    return len(seen) == len(strip)
-
-
 def remove_rim_hook(lam: Partition, hook: Iterable[Node]) -> Partition:
-    """Remove a border strip, validating every defining property of one."""
+    """Remove a border strip, validating every defining property of one.
+
+    The nodes must lie within the row lengths, each row's nodes must be a
+    suffix of the row, and what is left must be a partition.  The strip then
+    holds columns a_i..lam_i of each of its rows i, with a_i >= a_(i+1), so
+    it is connected iff its rows are consecutive and a_i <= lam_(i+1) for
+    each row i but the last, and holds a 2x2 block iff some a_i < lam_(i+1).
+    """
     lam = Partition(lam)
-    strip = frozenset((int(i), int(j)) for i, j in hook)
-    if not strip:
+    nodes = []
+    for i, j in hook:
+        if type(i) is not int or type(j) is not int:  # no bool, float or str
+            raise ValueError(f"not a rim hook: node {(i, j)!r} has a coordinate that is not an int")
+        nodes.append((i, j))
+    if not nodes:
         raise ValueError("not a rim hook: empty node set")
-    if not strip <= set(cells(lam)):
-        raise ValueError("not a rim hook: nodes outside the diagram")
-    rows: dict[int, list[int]] = {}
-    for i, j in strip:
-        rows.setdefault(i, []).append(j)
+    n = len(lam)
+    rows: dict[int, set[int]] = {}
+    for i, j in nodes:
+        if not (1 <= i <= n and 1 <= j <= lam[i - 1]):
+            raise ValueError("not a rim hook: nodes outside the diagram")
+        rows.setdefault(i, set()).add(j)
     new_parts = list(lam)
     for i, js in rows.items():
-        js.sort()
-        if js[-1] != lam[i - 1] or js[-1] - js[0] + 1 != len(js):
+        low = min(js)
+        if max(js) != lam[i - 1] or lam[i - 1] - low + 1 != len(js):
             raise ValueError("not a rim hook: row segment is not a suffix of its row")
-        new_parts[i - 1] = js[0] - 1
+        new_parts[i - 1] = low - 1
     try:
         result = Partition(new_parts)
     except ValueError:
         raise ValueError("not a rim hook: removal does not leave a partition") from None
-    if not _connected(strip):
+    top, bottom = min(rows), max(rows)
+    joins = range(top, bottom)  # row i meets row i + 1 iff new_parts[i - 1] < lam[i]
+    if bottom - top + 1 != len(rows) or any(new_parts[i - 1] >= lam[i] for i in joins):
         raise ValueError("not a rim hook: node set is disconnected")
-    for i, j in strip:
-        if {(i, j + 1), (i + 1, j), (i + 1, j + 1)} <= strip:
-            raise ValueError("not a rim hook: contains a 2x2 block")
+    if any(new_parts[i - 1] + 1 < lam[i] for i in joins):
+        raise ValueError("not a rim hook: contains a 2x2 block")
     return result
 
 
 def rim_hooks(lam: Partition, size: int) -> list[frozenset[Node]]:
-    """All removable rim hooks with `size` nodes, via first-column hook lengths.
+    """All removable rim hooks with `size` nodes, top row first.
 
-    Each hook corresponds to a beta number b with b - size fresh; the node
-    set is recovered as the diagram difference.
+    On the abacus row i holds the bead b_i = lam_i + len(lam) - i, and a
+    hook is a bead b_i with b_i - size >= 0 free.  Moving it down passes the
+    beads of rows i+1..k, so the hook takes columns lam_(h+1)..lam_h of
+    each row h with i <= h < k and the last lam_k - mu_k nodes of row k,
+    where mu_k = lam_i - size + k - i.  Hooks of one size have distinct top
+    rows, so this is also the order of their sorted node lists.
     """
     lam = Partition(lam)
     if size <= 0 or not lam:
         return []
-    length = len(lam)
-    beta = {lam[i] + (length - 1 - i) for i in range(length)}
-    lam_cells = set(cells(lam))
+    n = len(lam)
+    beta = [p + n - i for i, p in enumerate(lam, 1)]
+    beads = set(beta)
     out = []
-    for b in sorted(beta, reverse=True):
-        if b - size >= 0 and (b - size) not in beta:
-            nb = sorted((beta - {b}) | {b - size}, reverse=True)
-            mu = Partition(nb[i] - (length - 1 - i) for i in range(length))
-            out.append(frozenset(lam_cells - set(cells(mu))))
-    out.sort(key=lambda h: tuple(sorted(h)))
+    for i, b in enumerate(beta, 1):
+        if b < size or b - size in beads:
+            continue
+        k = i
+        while k < n and beta[k] > b - size:
+            k += 1
+        hook = [(h, j) for h in range(i, k) for j in range(lam[h], lam[h - 1] + 1)]
+        hook += [(k, j) for j in range(lam[i - 1] - size + k - i + 1, lam[k - 1] + 1)]
+        out.append(frozenset(hook))
     return out
 
 

@@ -137,7 +137,7 @@ def _suite_llt_crosscheck(run: _Run, ls, max_degree, cache_dir) -> None:
                 if not is_restricted(lam, l):
                     continue
                 col = simple_label(lam, l)
-                support = sorted(mat.simple_column(lam))
+                support = sorted(mat.column(col))
                 ok = col in support and all(dominance_leq(tau, col) for tau in support)
                 run.check(ok, (l, lam), f"maximal support row {col}", support)
 

@@ -366,6 +366,7 @@ class TestNablaMultiplicity:
                 col = simple_label(lam, 3)
                 expected = [(tau, mat.entry(tau, col)) for tau in mat.rows if mat.entry(tau, col)]
                 assert list(mat.simple_column(lam).items()) == expected
+                assert list(mat.column(col).items()) == expected
 
     def test_errors(self):
         with pytest.raises(ValueError, match="not l-restricted"):
@@ -376,6 +377,8 @@ class TestNablaMultiplicity:
             decomposition_matrix(2, 2).simple_column(P((1, 1, 1)))
         with pytest.raises(ValueError, match="not a column label"):
             column_matrix(P((2, 1)), 2).simple_column(P((1, 1, 1)))
+        with pytest.raises(ValueError, match="not a column label"):
+            decomposition_matrix(2, 2).column(P((1, 1)))
 
     def test_diagonal_is_one(self):
         for l in (2, 3):

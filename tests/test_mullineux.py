@@ -2,6 +2,7 @@
 
 import json
 from itertools import accumulate
+from operator import sub
 
 import pytest
 
@@ -22,6 +23,9 @@ from trunksym.partitions import (
     transpose,
 )
 from trunksym.mullineux import (
+    LEdge,
+    _conjugate,
+    _remove_edge,
     add_l_edge,
     edge_length,
     find_co_suitable_node,
@@ -332,6 +336,132 @@ class TestAddLEdge:
                             )
                             refused += built is None
         assert inputs == 7236 and 0 < refused < inputs
+
+
+def _staged_l_edge(lam: Partition, l: int) -> LEdge:
+    """l_edge as it was computed before stages ran on lists: one pass over
+    the rows of a validated Partition, tracking the segment ends."""
+    lam = Partition(lam)
+    counts: list[int] = []
+    seg_rows: list[int] = []
+    need = l
+    for i, (p, q) in enumerate(zip(lam, lam[1:] + (1,)), 1):
+        take = min(need, p - q + 1)
+        counts.append(take)
+        need -= take
+        if not need or i == len(lam):
+            seg_rows.append(i)
+            need = l
+    return LEdge(tuple(counts), sum(counts), tuple(seg_rows))
+
+
+def _staged_remove_l_edge(lam: Partition, l: int) -> Partition:
+    lam = Partition(lam)
+    return Partition(map(sub, lam, _staged_l_edge(lam, l).counts))
+
+
+def _staged_symbol(mu: Partition, l: int) -> tuple[tuple[int, int], ...]:
+    """mullineux_symbol with an LEdge, a Partition and two degree sums per stage."""
+    rows = []
+    stage = Partition(mu)
+    while stage:
+        rest = _staged_remove_l_edge(stage, l)
+        rows.append((stage.degree - rest.degree, len(stage)))
+        stage = rest
+    return tuple(rows)
+
+
+def _staged_add_l_edge(nu: Partition, a: int, r: int, l: int) -> Partition:
+    """add_l_edge on Partition.part lookups, with a Partition per stage."""
+    nu = Partition(nu)
+    if not (a >= r >= 1):
+        raise ValueError(f"need a >= r >= 1, got a={a}, r={r}")
+    k = -(-a // l)
+    parts = [0] * (r + 1)
+    e = r
+    for z in [a - l * (k - 1)] + [l] * (k - 1):
+        if e < 1:
+            raise ValueError("no edge extension")
+        t = z + nu.part(e) - e
+        s = e
+        while s > 1 and nu.part(s - 1) - (s - 1) < t:
+            s -= 1
+        parts[s] = t + s
+        for i in range(s + 1, e + 1):
+            parts[i] = nu.part(i - 1) + 1
+        e = s - 1
+    rows = parts[1:]
+    if e != 0 or rows[-1] < 1 or any(x < y for x, y in zip(rows, rows[1:])):
+        raise ValueError("no edge extension")
+    lam = Partition(rows)
+    if lam.degree != nu.degree + a or _staged_remove_l_edge(lam, l) != nu:
+        raise ValueError("no edge extension")
+    return lam
+
+
+def _staged_conjugate(symbol: tuple[tuple[int, int], ...], l: int) -> Partition:
+    out = EMPTY
+    for a, length in reversed(symbol):
+        out = _staged_add_l_edge(out, a, a - length + (0 if a % l == 0 else 1), l)
+    return out
+
+
+def _assert_stages_match(mu: Partition, l: int) -> None:
+    symbol = mullineux_symbol(mu, l)
+    assert symbol == _staged_symbol(mu, l), (l, mu)
+    assert _conjugate(mu, symbol, l) == _staged_conjugate(symbol, l), (l, mu)
+
+
+class TestStagesOnLists:
+    """The list-based stages against the Partition-per-stage code they replaced."""
+
+    def test_every_label_to_degree_14(self):
+        labels = 0
+        for l in (2, 3, 4, 5):
+            for deg in range(15):
+                for mu in partitions_of(deg):
+                    assert l_edge(mu, l) == _staged_l_edge(mu, l)
+                    assert remove_l_edge(mu, l) == _staged_remove_l_edge(mu, l)
+                    if mu:
+                        comps = mullineux_components(mu, l)
+                        assert is_edge_l_connected(mu, l) == all(
+                            c[0] - d[0] + len(c) == l for c, d in zip(comps, comps[1:])
+                        )
+                    if is_regular(mu, l):
+                        labels += 1
+                        _assert_stages_match(mu, l)
+                        e = _staged_l_edge(mu, l).size
+                        assert mullineux_length(mu, l) == e - len(mu) + (e % l != 0)
+        assert labels == 1094
+
+    def test_staircases_and_single_rows(self):
+        # staircases n,...,1 for n <= 60 and every tenth n up to 300; single
+        # rows for n <= 60 and up to 10^4
+        stairs = [*range(1, 61), *range(70, 301, 10)]
+        singles = [*range(1, 61), 99, 100, 101, 1000, 1001, 9999, 10**4]
+        for l in (2, 3):
+            for n in stairs:
+                _assert_stages_match(P(range(n, 0, -1)), l)
+            for n in singles:
+                _assert_stages_match(P((n,)), l)
+
+    def test_add_l_edge_matches_the_staged_construction(self):
+        for l in (2, 3, 4, 5):
+            for deg in range(8):
+                for nu in partitions_of(deg):
+                    for a in range(1, 9):
+                        for r in range(1, a + 1):
+                            assert _extension_or_none(
+                                add_l_edge, nu, a, r, l
+                            ) == _extension_or_none(_staged_add_l_edge, nu, a, r, l)
+
+    def test_row_check_refuses_a_list_that_is_not_a_partition(self):
+        # row 2 gives up no node (its rim count 3 - 4 + 1 is 0) and stays
+        # above the new row 1
+        with pytest.raises(RuntimeError, match="broke row 2"):
+            _remove_edge([3, 3, 4], 3)
+        assert _remove_edge([3, 3, 3], 3) == [2, 2, 2]
+        assert _remove_edge([1], 2) == _remove_edge([], 2) == []
 
 
 class TestMullineux:

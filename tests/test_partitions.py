@@ -1,7 +1,7 @@
 """Partition core: construction, order, nodes, hooks, cores, reflection."""
 
 import random
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 
 import pytest
 
@@ -10,6 +10,7 @@ from trunksym.partitions import (
     Partition,
     add,
     addable_nodes,
+    cells,
     count_partitions,
     count_regular_partitions,
     dagger,
@@ -294,6 +295,75 @@ class TestNodes:
                 assert sum(residue_content(lam, l)) == lam.degree
 
 
+def _connected(strip):
+    """Whether the node set is edge-connected, by a search from one node."""
+    todo = [next(iter(strip))]
+    seen = {todo[0]}
+    while todo:
+        i, j = todo.pop()
+        for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            if nb in strip and nb not in seen:
+                seen.add(nb)
+                todo.append(nb)
+    return len(seen) == len(strip)
+
+
+def _cell_difference_remove_rim_hook(lam, hook):
+    """remove_rim_hook as it was before it read row lengths: nodes checked
+    against the diagram's cell set (coordinates coerced with int), a search
+    for connectivity and a node-by-node search for 2x2 blocks."""
+    lam = Partition(lam)
+    strip = frozenset((int(i), int(j)) for i, j in hook)
+    if not strip:
+        raise ValueError("not a rim hook: empty node set")
+    if not strip <= set(cells(lam)):
+        raise ValueError("not a rim hook: nodes outside the diagram")
+    rows = {}
+    for i, j in strip:
+        rows.setdefault(i, []).append(j)
+    new_parts = list(lam)
+    for i, js in rows.items():
+        js.sort()
+        if js[-1] != lam[i - 1] or js[-1] - js[0] + 1 != len(js):
+            raise ValueError("not a rim hook: row segment is not a suffix of its row")
+        new_parts[i - 1] = js[0] - 1
+    try:
+        result = Partition(new_parts)
+    except ValueError:
+        raise ValueError("not a rim hook: removal does not leave a partition") from None
+    if not _connected(strip):
+        raise ValueError("not a rim hook: node set is disconnected")
+    for i, j in strip:
+        if {(i, j + 1), (i + 1, j), (i + 1, j + 1)} <= strip:
+            raise ValueError("not a rim hook: contains a 2x2 block")
+    return result
+
+
+def _cell_difference_rim_hooks(lam, size):
+    """rim_hooks as the diagram difference of lam and each bead move's result."""
+    lam = Partition(lam)
+    if size <= 0 or not lam:
+        return []
+    length = len(lam)
+    beta = {lam[i] + (length - 1 - i) for i in range(length)}
+    lam_cells = set(cells(lam))
+    out = []
+    for b in sorted(beta, reverse=True):
+        if b - size >= 0 and (b - size) not in beta:
+            nb = sorted((beta - {b}) | {b - size}, reverse=True)
+            mu = Partition(nb[i] - (length - 1 - i) for i in range(length))
+            out.append(frozenset(lam_cells - set(cells(mu))))
+    out.sort(key=lambda h: tuple(sorted(h)))
+    return out
+
+
+def _removal_outcome(fn, lam, hook):
+    try:
+        return fn(lam, hook)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestRimHooks:
     def test_examples(self):
         assert remove_rim_hook(P((3, 1)), {(1, 2), (1, 3)}) == P((1, 1))
@@ -320,6 +390,39 @@ class TestRimHooks:
 
     def test_single_size_two_hook_of_hook_shape(self):
         assert rim_hooks(P((3, 1)), 2) == [frozenset({(1, 2), (1, 3)})]
+
+    def test_coordinates_must_be_ints(self):
+        for hook in ([(1, 2.7)], [(True, 2)], [("1", "2")], [(1, 2), (True, 2)]):
+            with pytest.raises(ValueError, match="not a rim hook: .* not an int"):
+                remove_rim_hook(P((2,)), hook)
+        assert remove_rim_hook(P((2,)), [(1, 2)]) == P((1,))
+
+    def test_hooks_match_the_cell_difference(self):
+        hooks = 0
+        for size in (2, 3, 4, 5):
+            for deg in range(13):
+                for lam in partitions_of(deg):
+                    found = rim_hooks(lam, size)
+                    assert found == _cell_difference_rim_hooks(lam, size), (lam, size)
+                    for hook in found:
+                        hooks += 1
+                        assert remove_rim_hook(lam, hook) == _cell_difference_remove_rim_hook(lam, hook)
+        assert hooks == 1476
+
+    def test_removal_matches_the_cell_check_on_every_small_subset(self):
+        # node subsets of size <= 4 of the box one row and one column larger
+        # than the diagram, so nodes outside it are tried too
+        subsets = accepted = 0
+        for deg in range(7):
+            for lam in partitions_of(deg):
+                box = [(i, j) for i in range(1, len(lam) + 2) for j in range(1, lam.part(1) + 2)]
+                for k in range(5):
+                    for hook in combinations(box, k):
+                        subsets += 1
+                        new = _removal_outcome(remove_rim_hook, lam, hook)
+                        assert new == _removal_outcome(_cell_difference_remove_rim_hook, lam, hook)
+                        accepted += not isinstance(new, str)
+        assert (subsets, accepted) == (44322, 119)
 
 
 class TestCore:
